@@ -5,9 +5,8 @@ subclasses — shared, immutable-after-warmup state (bound sets, Q-tables,
 fixing-action maps) that spawns lightweight per-episode
 :class:`~repro.controllers.engine.RecoverySession` objects.  The
 ``*Controller`` classes are thin campaign-facing adapters binding one
-engine to one live session; subclassing
-:class:`~repro.controllers.base.RecoveryController` with a ``_decide``
-override (the legacy callback path) still works unchanged.
+engine to one live session; a new strategy is a ``PolicyEngine``
+subclass handed to ``RecoveryController(engine=...)``.
 
 * :mod:`repro.controllers.bounded` — the paper's controller: finite-depth
   lookahead with the piecewise-linear lower bound at the leaves, online
@@ -22,6 +21,9 @@ override (the legacy callback path) still works unchanged.
 * :mod:`repro.controllers.random_controller` — uniform random recovery
   actions; the policy whose value *is* the RA-Bound, kept as a sanity
   baseline.
+* :mod:`repro.controllers.branch_and_bound` — the paper's future work:
+  the bounded lookahead with sawtooth upper-bound pruning and optional
+  certified termination.
 * :mod:`repro.controllers.bootstrap` — the offline bounds-improvement phase
   of Section 4.1 (Random and Average variants) that produces the data for
   Figures 5(a) and 5(b).
@@ -30,7 +32,10 @@ override (the legacy callback path) still works unchanged.
 from repro.controllers.base import NO_ACTION, Decision, RecoveryController
 from repro.controllers.bootstrap import BootstrapResult, bootstrap_bounds
 from repro.controllers.bounded import BoundedController, BoundedPolicyEngine
-from repro.controllers.branch_and_bound import BranchAndBoundController
+from repro.controllers.branch_and_bound import (
+    BranchAndBoundController,
+    BranchAndBoundPolicyEngine,
+)
 from repro.controllers.engine import PolicyEngine, RecoverySession
 from repro.controllers.heuristic import (
     HeuristicController,
@@ -54,6 +59,7 @@ __all__ = [
     "BoundedController",
     "BoundedPolicyEngine",
     "BranchAndBoundController",
+    "BranchAndBoundPolicyEngine",
     "Decision",
     "HeuristicController",
     "HeuristicLeaf",

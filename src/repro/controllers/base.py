@@ -7,26 +7,19 @@ loop: ``reset()`` at fault-detection time, then alternating ``observe()``
 ``is_terminate`` set ends the episode.  The campaign driver in
 :mod:`repro.sim` owns the loop; controllers only own belief tracking and
 action selection, and they never see the true system state (except the
-oracle, which overrides the hook provided for it).
+oracle, whose engine reads the hook provided for it).
 
 Since the engine/session split (:mod:`repro.controllers.engine`) a
 controller is a *thin adapter*: the shared, immutable-after-warmup policy
 state lives in a :class:`~repro.controllers.engine.PolicyEngine` and the
 per-episode mutable state in one live
 :class:`~repro.controllers.engine.RecoverySession`, exposed as
-:attr:`RecoveryController.session`.  Every legacy method (``reset`` /
-``observe`` / ``decide`` / ``belief`` / ``stopwatch``) forwards to that
-session, so existing drivers and tests are unaffected.  Subclasses choose
-one of two shapes:
-
-* **engine-backed** (the shipped controllers): build a concrete engine and
-  pass it as ``engine=``; the adapter inherits its name, preflight report,
-  and decision logic.
-* **callback** (legacy / ad-hoc subclasses): pass a ``model`` and override
-  ``_decide`` (plus optionally ``_on_reset`` / ``sync_true_state``); the
-  base wires up a private :class:`_CallbackEngine` that routes session
-  decisions back through the override.  Nothing about the classic
-  subclassing contract changed.
+:attr:`RecoveryController.session`.  Every method (``reset`` / ``observe``
+/ ``decide`` / ``belief`` / ``stopwatch``) forwards to that session.  A new
+strategy subclasses :class:`~repro.controllers.engine.PolicyEngine` and
+hands an instance to ``RecoveryController(engine=...)`` (or to a small
+adapter subclass, as every shipped controller does); the adapter inherits
+the engine's name, monitor opt-out, preflight report and decision logic.
 """
 
 from __future__ import annotations
@@ -39,7 +32,6 @@ from repro.controllers.engine import (
     PolicyEngine,
     RecoverySession,
 )
-from repro.exceptions import ControllerError
 from repro.recovery.model import RecoveryModel
 from repro.util.timing import Stopwatch
 
@@ -50,57 +42,8 @@ __all__ = [
 ]
 
 
-class _CallbackEngine(PolicyEngine):
-    """Adapter engine that routes decisions through a legacy controller.
-
-    Subclasses of :class:`RecoveryController` that predate the
-    engine/session split implement ``_decide(belief)`` (and optionally
-    ``_on_reset`` / ``sync_true_state``) on the controller itself.  This
-    engine keeps that contract alive: it holds a back-reference to the
-    controller and forwards every session hook to the classic override
-    points.  It is private to its adapter — it serves exactly the one
-    session the adapter owns.
-    """
-
-    def __init__(
-        self,
-        controller: RecoveryController,
-        model: RecoveryModel,
-        preflight: bool = False,
-    ):
-        super().__init__(model, preflight=preflight)
-        self._controller = controller
-        # The monitor opt-out is a class-level declaration on legacy
-        # controllers; mirror it onto the engine so sessions report it.
-        self.uses_monitors = bool(getattr(type(controller), "uses_monitors", True))
-
-    @property
-    def name(self) -> str:  # type: ignore[override]
-        return self._controller.name
-
-    def decide(self, session: RecoverySession) -> Decision:
-        return self._controller._decide(session.belief_view())
-
-    def on_reset(self, session: RecoverySession) -> None:
-        self._controller._on_reset()
-
-    def on_true_state(self, session: RecoverySession, state: int) -> None:
-        # Route through the controller so legacy overrides (the classic
-        # oracle pattern) still fire when the *session* is being driven.
-        # The base implementation writes session.true_state directly, so
-        # this cannot recurse.
-        self._controller.sync_true_state(state)
-
-
 class RecoveryController:
     """Thin adapter binding one :class:`PolicyEngine` to one live session."""
-
-    #: Display name used in experiment tables (subclasses override).
-    name: str = "controller"
-
-    #: The campaign skips monitor invocations for controllers that opt out
-    #: (class-level declaration; the oracle sets it False).
-    uses_monitors: bool = True
 
     #: Integer diagnostic counters that accumulate across a campaign's
     #: episodes (subclasses list attribute names here).  The campaign
@@ -108,54 +51,26 @@ class RecoveryController:
     #: each chunk's counter deltas back into the caller's controller.
     CAMPAIGN_COUNTERS: tuple[str, ...] = ()
 
+    def __init__(self, engine: PolicyEngine):
+        """Args:
+            engine: the :class:`PolicyEngine` to adapt; the adapter opens
+                one live session against it.  Preflight analysis, when
+                wanted, is the engine's constructor option.
+        """
+        self.engine = engine
+        self.name = engine.name
+        self.preflight_report = engine.preflight_report
+        self.session: RecoverySession = engine.session()
+
     def refinement_state(self):
         """The mutable bound-vector set this controller refines, if any.
 
         The campaign engine merges the refinements its controller clones
         produce back into this object (see :mod:`repro.sim.parallel`).
-        Defaults to the engine's :meth:`PolicyEngine.refinement_state`;
-        subclasses with a differently-named set override this, and
-        returning ``None`` opts out of refinement merging.
+        Forwards to the engine's :meth:`PolicyEngine.refinement_state`;
+        ``None`` opts out of refinement merging.
         """
-        state = getattr(self, "bound_set", None)
-        if state is not None:
-            return state
         return self.engine.refinement_state()
-
-    def __init__(
-        self,
-        model: RecoveryModel | None = None,
-        preflight: bool = False,
-        *,
-        engine: PolicyEngine | None = None,
-    ):
-        """Args:
-            model: the (augmented) recovery model to control.  Required on
-                the legacy callback path; ignored when ``engine`` is given
-                (the engine owns the model).
-            preflight: run the static analyzer over the model before the
-                first action can be taken.  Error findings raise
-                :class:`~repro.exceptions.AnalysisError` (carrying the full
-                report); otherwise the report is kept on
-                :attr:`preflight_report` so operators can surface warnings
-                (loose bounds, dead observations) at deployment time.
-            engine: a prebuilt :class:`PolicyEngine` to adapt (the shipped
-                controllers construct their concrete engine and pass it
-                here).  When None, a :class:`_CallbackEngine` is wired up
-                around this instance's ``_decide`` override.
-        """
-        if engine is None:
-            if model is None:
-                raise ControllerError(
-                    "RecoveryController needs a model (legacy callback "
-                    "path) or an engine"
-                )
-            engine = _CallbackEngine(self, model, preflight=preflight)
-        else:
-            self.name = engine.name
-        self.engine = engine
-        self.preflight_report = engine.preflight_report
-        self.session: RecoverySession = engine.session()
 
     # -- session pass-throughs ------------------------------------------------
 
@@ -163,6 +78,11 @@ class RecoveryController:
     def model(self) -> RecoveryModel:
         """The engine's (shared) recovery model."""
         return self.engine.model
+
+    @property
+    def uses_monitors(self) -> bool:
+        """Whether the campaign should feed monitor outputs (engine's flag)."""
+        return self.engine.uses_monitors
 
     @property
     def stopwatch(self) -> Stopwatch:
@@ -191,37 +111,6 @@ class RecoveryController:
         """Choose the next action; timed for the "algorithm time" metric."""
         return self.session.decide()
 
-    def _terminate_decision(self, value: float | None = None) -> Decision:
-        """A terminating decision that executes ``a_T`` where the model has one.
-
-        Forwarded to :meth:`PolicyEngine.terminate_decision`; kept as a
-        method so legacy ``_decide`` overrides keep their exit idiom.
-        """
-        return self.engine.terminate_decision(value=value)
-
     def sync_true_state(self, state: int) -> None:
-        """Ground-truth hook; records the state on the session.
-
-        The campaign calls this after every environment transition.  Honest
-        controllers never read it back — only the oracle engine does (it
-        models omniscient diagnosis, not something a real controller could
-        do).  Legacy oracle-style subclasses may still override this method
-        directly.
-        """
-        self.session.true_state = int(state)
-
-    # -- legacy subclass responsibilities -------------------------------------
-
-    def _on_reset(self) -> None:
-        """Per-episode subclass state reset (optional, callback path)."""
-
-    def _decide(self, belief: np.ndarray) -> Decision:
-        """Choose an action for ``belief`` (already guarded and timed).
-
-        Only the legacy callback path reaches this; engine-backed
-        controllers decide inside their engine.
-        """
-        raise NotImplementedError(
-            f"{type(self).__name__} must either override _decide() or be "
-            "constructed with an engine"
-        )
+        """Ground-truth hook (see :meth:`RecoverySession.sync_true_state`)."""
+        self.session.sync_true_state(state)

@@ -11,12 +11,12 @@ knob is needed, which is the property Table 1's discussion highlights — or,
 for systems with recovery notification, when the belief certifies arrival in
 ``S_phi``.
 
-At the evaluated depth of 1 the expansion is fully batched
-(:mod:`repro.pomdp.tree`): the successor-belief matrix is built once and the
-bound set is evaluated against it in a single
-:meth:`~repro.bounds.vector_set.BoundVectorSet.value_batch` matmul — on the
-sparse backend the posteriors are skipped entirely and the whole decision is
-a handful of CSR × dense-block products.
+The lookahead is the one Max-Avg recursion of :mod:`repro.pomdp.tree`:
+every depth-1 node builds its successor-belief matrix once and evaluates the
+bound set against it in a single
+:meth:`~repro.bounds.vector_set.BoundVectorSet.value_batch` matmul.  At the
+evaluated depth of 1 on the sparse backend the posteriors are skipped
+entirely and the whole decision is a handful of CSR × dense-block products.
 
 All of that is shared, warm state, so it lives in
 :class:`BoundedPolicyEngine`; :class:`BoundedController` is the thin

@@ -150,7 +150,6 @@ class RecoverySession:
         self._done = False
         self.steps = 0
         self.true_state = None
-        self.engine.on_reset(self)
 
     @property
     def belief(self) -> np.ndarray:
@@ -272,7 +271,7 @@ class RecoverySession:
         back (it models omniscient diagnosis, not something a real
         controller could do).
         """
-        self.engine.on_true_state(self, state)
+        self.true_state = int(state)
 
 
 class PolicyEngine(abc.ABC):
@@ -332,15 +331,6 @@ class PolicyEngine(abc.ABC):
         named set override this; returning ``None`` opts out.
         """
         return getattr(self, "bound_set", None)
-
-    # -- session hooks --------------------------------------------------------
-
-    def on_reset(self, session: RecoverySession) -> None:
-        """Per-episode engine hook (optional)."""
-
-    def on_true_state(self, session: RecoverySession, state: int) -> None:
-        """Store the campaign's ground-truth signal on the session."""
-        session.true_state = int(state)
 
     # -- decisions ------------------------------------------------------------
 

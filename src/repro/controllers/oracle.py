@@ -44,7 +44,5 @@ class OraclePolicyEngine(PolicyEngine):
 class OracleController(RecoveryController):
     """Campaign-facing adapter over an :class:`OraclePolicyEngine`."""
 
-    uses_monitors: bool = False
-
     def __init__(self, model: RecoveryModel, preflight: bool = False):
         super().__init__(engine=OraclePolicyEngine(model, preflight=preflight))

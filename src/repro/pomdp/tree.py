@@ -8,26 +8,24 @@ observation probabilities ``gamma^{pi,a}(o)`` (Eq. 3), and the maximum over
 actions is taken at each decision node.
 
 Per-decision cost matters — Table 1's "algorithm time" column is this
-expansion — so the tree leans on two model-level optimisations:
+expansion — so there are exactly two expansion routines:
 
-* the joint factors ``p(s', o | s, a)`` come from the shared
-  :class:`~repro.pomdp.cache.JointFactorCache`, which turns each node's
-  per-action child computation into a single matrix product instead of a
-  per-action rebuild of the transition/observation product;
-* all of a node's leaf beliefs (across *every* action) are evaluated in one
-  :meth:`LeafValue.value_batch` call rather than one call per action, so the
-  leaf estimator sees one big stack per node; at depth 1 the root expansion
-  is a single fused pass (:func:`_expand_depth1_batched`) with exactly one
-  such call;
-* on the sparse backend with a linear-function leaf, the depth-1 expansion
-  skips posteriors entirely: a batched kernel builds the full
-  ``(k, |A|, |O|)`` score block from a few CSR × dense-block products, with
-  a per-action looped fallback when the block is declined by the cache
-  budget.
+* :func:`_expand`, the recursion of Eq. 2 for any depth.  Depth 1 is its
+  base case: all of a node's leaf beliefs (across *every* action) are
+  evaluated in one :meth:`LeafValue.value_batch` call, and the joint
+  factors ``p(s', o | s, a)`` come from the shared
+  :class:`~repro.pomdp.cache.JointFactorCache` when the model has one, so
+  each node's children are a single matrix product;
+* :func:`_expand_depth1_sparse`, the fused depth-1 kernel used on the
+  sparse backend with a linear-function leaf.  It skips posteriors
+  entirely and builds the ``(k, |A|, |O|)`` score block from a few CSR ×
+  dense-block products, over action slices when the whole block would
+  exceed the cache budget.
 """
 
 from __future__ import annotations
 
+from contextlib import nullcontext
 from dataclasses import dataclass
 from typing import Protocol
 
@@ -47,6 +45,7 @@ from repro.pomdp.cache import (
     SparseJointFactorCache,
     charge_block,
     get_joint_cache,
+    max_cache_bytes,
 )
 from repro.pomdp.model import POMDP
 
@@ -94,36 +93,19 @@ class TreeDecision:
     nodes: int
 
 
-def _children(
-    pomdp: POMDP,
-    belief: np.ndarray,
-    action: int,
-    cache: JointFactorCache | SparseJointFactorCache | None = None,
-):
-    """Reachable ``(gamma, posteriors)`` for one action, pruned by gamma."""
-    if cache is not None:
-        joint = cache.joint(belief, action)
-    else:
-        predicted = predict(pomdp.transitions, belief, action)
-        joint = predicted[:, None] * observation_matrix_dense(
-            pomdp.observations, action
-        )
-    gamma = joint.sum(axis=0)
-    reachable = gamma > GAMMA_EPSILON
-    posteriors = (joint[:, reachable] / gamma[reachable]).T
-    return gamma[reachable], posteriors
-
-
 def _children_all(
     pomdp: POMDP,
     belief: np.ndarray,
-    cache: JointFactorCache | SparseJointFactorCache | None,
+    cache: JointFactorCache | SparseJointFactorCache | None = None,
     action_mask: np.ndarray | None = None,
 ):
     """Per-action ``(gamma, posteriors)`` for every (allowed) action.
 
-    Returns a list indexed by action; masked-out actions hold ``None``.
-    With a cache, all joints come from one matrix product.
+    Returns a list indexed by action; masked-out actions hold ``None`` and
+    unreachable observations (``gamma <= GAMMA_EPSILON``) are pruned.  With
+    a cache, all joints come from one matrix product; without one, each
+    action's joint is ``predict(belief, a)`` times its dense observation
+    matrix (the branch-and-bound engine builds its children this way).
     """
     joint_all = cache.joint_all(belief) if cache is not None else None
     children: list[tuple[np.ndarray, np.ndarray] | None] = []
@@ -133,12 +115,15 @@ def _children_all(
             continue
         if joint_all is not None:
             joint = joint_all[action]
-            gamma = joint.sum(axis=0)
-            reachable = gamma > GAMMA_EPSILON
-            posteriors = (joint[:, reachable] / gamma[reachable]).T
-            children.append((gamma[reachable], posteriors))
         else:
-            children.append(_children(pomdp, belief, action))
+            predicted = predict(pomdp.transitions, belief, action)
+            joint = predicted[:, None] * observation_matrix_dense(
+                pomdp.observations, action
+            )
+        gamma = joint.sum(axis=0)
+        reachable = gamma > GAMMA_EPSILON
+        posteriors = (joint[:, reachable] / gamma[reachable]).T
+        children.append((gamma[reachable], posteriors))
     return children
 
 
@@ -191,17 +176,31 @@ def expand_tree(
         belief: root belief state.
         depth: number of action layers to expand; must be at least 1.
         leaf: value estimate substituted at depth-0 beliefs.
-        allowed_actions: optional boolean mask restricting the *root*
-            decision (inner nodes always consider every action, matching the
-            recursion of Eq. 2).
+        allowed_actions: optional boolean mask of shape ``(|A|,)``
+            restricting the *root* decision (inner nodes always consider
+            every action, matching the recursion of Eq. 2).  It must allow
+            at least one action.
 
     Returns:
         A :class:`TreeDecision`; ties at the root break toward the
         lowest-index action, so action ordering in the model is the
         deterministic tie-breaker.
+
+    Raises:
+        ValueError: ``depth`` is below 1, or ``allowed_actions`` has the
+            wrong shape or allows no action.
     """
     if depth < 1:
         raise ValueError(f"depth must be >= 1, got {depth}")
+    if allowed_actions is not None:
+        allowed_actions = np.asarray(allowed_actions, dtype=bool)
+        if allowed_actions.shape != (pomdp.n_actions,):
+            raise ValueError(
+                f"allowed_actions must have shape ({pomdp.n_actions},), "
+                f"got {allowed_actions.shape}"
+            )
+        if not allowed_actions.any():
+            raise ValueError("allowed_actions must allow at least one action")
     cache = get_joint_cache(pomdp)
     fused = (
         depth == 1
@@ -209,17 +208,35 @@ def expand_tree(
         and pomdp.backend.is_sparse
         and getattr(leaf, "vectors", None) is not None
     )
+    counts = {"nodes": 0, "leaves": 0}
     telemetry = telemetry_active()
     if telemetry is not None:
         # Mode-tagged so dense and sparse traces of the same campaign are
         # directly comparable (the fused path replaces the generic one).
         mode = "fused_sparse" if fused else "generic"
         telemetry.count(f"tree.expansions.{mode}")
-        with telemetry.trace_span(
+        span = telemetry.trace_span(
             "tree.expand", category="tree", depth=depth, mode=mode
-        ):
-            return _expand(pomdp, belief, depth, leaf, allowed_actions, cache, fused)
-    return _expand(pomdp, belief, depth, leaf, allowed_actions, cache, fused)
+        )
+    else:
+        span = nullcontext()
+    with span:
+        if fused:
+            action_values = _expand_depth1_sparse(
+                pomdp, belief, leaf, allowed_actions, counts
+            )
+        else:
+            action_values = _expand(
+                pomdp, belief, depth, leaf, cache, counts, allowed_actions
+            )
+    best_action = _best_action(action_values)
+    return TreeDecision(
+        action=best_action,
+        value=float(action_values[best_action]),
+        action_values=action_values,
+        leaf_evaluations=counts["leaves"],
+        nodes=counts["nodes"],
+    )
 
 
 def _expand(
@@ -227,95 +244,39 @@ def _expand(
     belief: np.ndarray,
     depth: int,
     leaf: LeafValue,
-    allowed_actions: np.ndarray | None,
     cache: JointFactorCache | SparseJointFactorCache | None,
-    fused: bool,
-) -> TreeDecision:
-    """Dispatch to the fused sparse depth-1 path or the generic recursion."""
-    if fused:
-        return _expand_depth1_sparse(pomdp, belief, leaf, allowed_actions)
-    if depth == 1:
-        return _expand_depth1_batched(pomdp, belief, leaf, allowed_actions, cache)
-    counters = {"leaves": 0, "nodes": 0}
+    counts: dict[str, int],
+    action_mask: np.ndarray | None = None,
+) -> np.ndarray:
+    """Per-action Max-Avg values at one decision node (Eq. 2).
 
-    def node_value(node_belief: np.ndarray, remaining: int) -> float:
-        counters["nodes"] += 1
-        rewards = rewards_matvec(pomdp.rewards, node_belief)
-        children = _children_all(pomdp, node_belief, cache)
-        if remaining == 1:
-            futures = _batched_leaf_values(children, leaf)
-            counters["leaves"] += sum(
-                child[1].shape[0] for child in children if child is not None
-            )
-        else:
-            futures = [
-                np.array(
-                    [node_value(child, remaining - 1) for child in posteriors]
-                )
-                for _, posteriors in children
-            ]
-        best = -np.inf
-        for action, child in enumerate(children):
-            gamma, _ = child
-            total = rewards[action] + pomdp.discount * float(
-                gamma @ futures[action]
-            )
-            best = max(best, total)
-        return best
-
-    counters["nodes"] += 1
-    rewards = rewards_matvec(pomdp.rewards, belief)
-    action_values = np.full(pomdp.n_actions, -np.inf)
-    children = _children_all(pomdp, belief, cache, action_mask=allowed_actions)
-    futures = [
-        None
-        if child is None
-        else np.array(
-            [node_value(posterior, depth - 1) for posterior in child[1]]
-        )
-        for child in children
-    ]
-    for action, child in enumerate(children):
-        if child is None:
-            continue
-        gamma, _ = child
-        action_values[action] = rewards[action] + pomdp.discount * float(
-            gamma @ futures[action]
-        )
-
-    best_action = _best_action(action_values)
-    return TreeDecision(
-        action=best_action,
-        value=float(action_values[best_action]),
-        action_values=action_values,
-        leaf_evaluations=counters["leaves"],
-        nodes=counters["nodes"],
-    )
-
-
-def _expand_depth1_batched(
-    pomdp: POMDP,
-    belief: np.ndarray,
-    leaf: LeafValue,
-    allowed_actions: np.ndarray | None,
-    cache: JointFactorCache | SparseJointFactorCache | None,
-) -> TreeDecision:
-    """Depth-1 expansion as one successor-matrix build + one leaf batch.
-
-    The full successor-belief matrix (every action's reachable posteriors,
-    stacked action-major) is built once by :func:`_children_all` /
-    :func:`_batched_leaf_values` and evaluated through a single
-    ``leaf.value_batch`` call; the per-action combine then weighs each
-    action's slice with its observation probabilities.  Arithmetic is
-    bit-identical to the generic recursion at depth 1 — this is the same
-    computation with the recursion peeled off, and the campaign
-    fingerprints hold it to that.
+    Depth 1 is the base case: every allowed action's reachable posteriors
+    are evaluated through a single ``leaf.value_batch`` call.  Deeper
+    nodes recurse into each posterior and back up the maximum of its
+    action values.  Masked-out actions are ``-inf``.  ``counts``
+    accumulates the expanded nodes and the leaf evaluations.
     """
+    counts["nodes"] += 1
     rewards = rewards_matvec(pomdp.rewards, belief)
+    children = _children_all(pomdp, belief, cache, action_mask)
+    if depth == 1:
+        futures = _batched_leaf_values(children, leaf)
+        counts["leaves"] += sum(
+            child[1].shape[0] for child in children if child is not None
+        )
+    else:
+        futures = [
+            None
+            if child is None
+            else np.array(
+                [
+                    _expand(pomdp, posterior, depth - 1, leaf, cache, counts).max()
+                    for posterior in child[1]
+                ]
+            )
+            for child in children
+        ]
     action_values = np.full(pomdp.n_actions, -np.inf)
-    children = _children_all(pomdp, belief, cache, action_mask=allowed_actions)
-    futures = _batched_leaf_values(children, leaf)
-    leaves = sum(child[1].shape[0] for child in children if child is not None)
     for action, child in enumerate(children):
         if child is None:
             continue
@@ -323,14 +284,7 @@ def _expand_depth1_batched(
         action_values[action] = rewards[action] + pomdp.discount * float(
             gamma @ futures[action]
         )
-    best_action = _best_action(action_values)
-    return TreeDecision(
-        action=best_action,
-        value=float(action_values[best_action]),
-        action_values=action_values,
-        leaf_evaluations=leaves,
-        nodes=1,
-    )
+    return action_values
 
 
 def _expand_depth1_sparse(
@@ -338,7 +292,9 @@ def _expand_depth1_sparse(
     belief: np.ndarray,
     leaf: LeafValue,
     allowed_actions: np.ndarray | None,
-) -> TreeDecision:
+    counts: dict[str, int],
+    max_bytes: int | None = None,
+) -> np.ndarray:
     """Fused depth-1 expansion on the sparse backend (no factor cache).
 
     At depth 1 with a linear-function leaf set ``B``, an action's value is
@@ -346,204 +302,100 @@ def _expand_depth1_sparse(
         ``V(a) = r_a . pi + beta * sum_o max_b (pred_a * Z_a[:, o]) . b``
 
     — the posterior normalisation ``1/gamma_a(o)`` cancels against the
-    Max-Avg weighting, so no posterior is ever materialised.  Two kernels
-    implement the identity: the batched one materialises the full
-    ``(k, |A|, |O|)`` score block in a handful of CSR × dense-block
-    products, the looped one visits one action at a time and never holds
-    more than one action's scores.  The block is charged against the cache
-    budget (:func:`~repro.pomdp.cache.charge_block`) *before* it exists;
-    a decline falls back to the looped kernel.
+    Max-Avg weighting, so no posterior is ever materialised.  One
+    ``corrections @ Z`` CSR × dense-block product yields every action's
+    observation-probability correction, and one such product per bound
+    vector (with the correction data scaled by that vector) yields the
+    ``(k, |A|, |O|)`` score block.  Actions with observation overrides are
+    recomputed through their own matrix, since they do not observe through
+    the shared base matrix.
+
+    The block is charged against the cache budget
+    (:func:`~repro.pomdp.cache.charge_block`) *before* it exists.  When it
+    does not fit, the kernel runs over contiguous action slices sized to
+    the budget; each slice's rows of every product are bit-identical to
+    the full product's, so the result does not depend on the slicing.
+    Values agree with the generic recursion to summation re-association
+    (~1e-16); branch bookkeeping (reachability, usage winners) is
+    identical.
     """
+    transitions = pomdp.transitions
+    observations = pomdp.observations
+    base_obs = observations.base
+    n_actions = pomdp.n_actions
+    n_observations = pomdp.n_observations
     vectors = np.atleast_2d(np.asarray(leaf.vectors, dtype=float))
-    block_bytes = (
-        8 * (vectors.shape[0] + 3) * pomdp.n_actions * pomdp.n_observations
-    )
-    if charge_block(
-        block_bytes, n_states=pomdp.n_states, kind="tree.depth1_block"
-    ):
-        return _expand_depth1_sparse_batched(
-            pomdp, belief, vectors, leaf, allowed_actions
-        )
-    return _expand_depth1_sparse_looped(
-        pomdp, belief, vectors, leaf, allowed_actions
-    )
-
-
-def _expand_depth1_sparse_batched(
-    pomdp: POMDP,
-    belief: np.ndarray,
-    vectors: np.ndarray,
-    leaf: LeafValue,
-    allowed_actions: np.ndarray | None,
-) -> TreeDecision:
-    """All-actions-at-once kernel of the fused sparse depth-1 expansion.
-
-    The per-action correction loop of the looped kernel collapses into CSR
-    × dense-block products: one ``corrections @ Z`` product yields every
-    action's observation-probability correction, and one such product per
-    bound vector (with the correction data scaled by that vector) yields
-    the full ``(k, |A|, |O|)`` score block.  Actions with observation
-    overrides are recomputed exactly as the looped kernel computes them,
-    since they do not observe through the shared base matrix.
-
-    Values agree with the looped kernel to summation re-association
-    (~1e-16): sparse row-times-matrix products may add the same terms in a
-    different order.  Branch bookkeeping (reachability, usage winners,
-    record order) is identical.
-    """
-    transitions = pomdp.transitions
-    observations = pomdp.observations
-    base_obs = observations.base
     k = vectors.shape[0]
-
-    pred_base = transitions.predict_base(belief)
-    corrections = transitions.correction_matrix(belief).tocsr()
-    gamma_base = np.asarray(base_obs.T @ pred_base).ravel()
-    scores_base = np.asarray(base_obs.T @ (vectors * pred_base).T).T  # (k, |O|)
-
-    # gamma_all[a, o] = gamma_base[o] + (corrections[a] @ base_obs)[o]
-    gamma_all = (corrections @ base_obs).toarray() + gamma_base[None, :]
-    scores_all = np.empty((k, pomdp.n_actions, pomdp.n_observations))
-    scaled = corrections.copy()
-    for j in range(k):
-        scaled.data = corrections.data * vectors[j, corrections.indices]
-        scores_all[j] = (scaled @ base_obs).toarray()
-    scores_all += scores_base[:, None, :]
-
-    for action in sorted(observations.overrides):
-        # Overridden observation rows bypass the base matrix entirely;
-        # recompute them exactly as the looped kernel does.
-        matrix = observations.matrix(action)
-        start, stop = corrections.indptr[action], corrections.indptr[action + 1]
-        pred = pred_base.copy()
-        pred[corrections.indices[start:stop]] += corrections.data[start:stop]
-        gamma_all[action] = np.asarray(matrix.T @ pred).ravel()
-        scores_all[:, action, :] = np.asarray(matrix.T @ (vectors * pred).T).T
-
-    rewards = rewards_matvec(pomdp.rewards, belief)
-    reachable = gamma_all > GAMMA_EPSILON  # (|A|, |O|)
-    if allowed_actions is not None:
-        reachable &= np.asarray(allowed_actions, dtype=bool)[:, None]
-    leaf_evaluations = int(np.count_nonzero(reachable))
-
-    record = getattr(leaf, "record_wins", None)
-    if record is not None and leaf_evaluations:
-        # Row-major selection is action-major, observation-ascending — the
-        # exact order the looped kernel concatenates its winners in.  A
-        # single bound vector wins every branch by construction.
-        if k == 1:
-            record(np.zeros(leaf_evaluations, dtype=np.intp))
-        else:
-            winners = tie_break_argmax(scores_all, BACKUP_TIE_EPSILON, axis=0)
-            record(winners[reachable])
-
-    # max over one vector is the vector itself; skip the (k, |A|, |O|)
-    # reduction on the single-seed hot path.  scores_all is not read again,
-    # so zeroing the unreachable branches in place is safe.
-    best = scores_all[0] if k == 1 else scores_all.max(axis=0)
-    best[~reachable] = 0.0
-    future = best.sum(axis=1)
-    action_values = rewards + pomdp.discount * future
-    if allowed_actions is not None:
-        action_values[~np.asarray(allowed_actions, dtype=bool)] = -np.inf
-    best_action = _best_action(action_values)
-    return TreeDecision(
-        action=best_action,
-        value=float(action_values[best_action]),
-        action_values=action_values,
-        leaf_evaluations=leaf_evaluations,
-        nodes=1,
-    )
-
-
-def _expand_depth1_sparse_looped(
-    pomdp: POMDP,
-    belief: np.ndarray,
-    vectors: np.ndarray,
-    leaf: LeafValue,
-    allowed_actions: np.ndarray | None,
-) -> TreeDecision:
-    """Per-action kernel of the fused sparse depth-1 expansion.
-
-    The base quantities (prediction through the shared transition base,
-    scores through the shared observation matrix) are computed once per
-    decision; each action then contributes only a correction of the size
-    of its overrides.  Actions whose override rows carry no belief mass
-    and that observe through the base matrix reuse the base score
-    unchanged, which is what makes a 150,002-action decision tractable
-    even when the batched block is declined.
-
-    Leaf-usage accounting matches the generic path: the winning bound
-    vector of every reachable ``(a, o)`` branch is recorded via
-    ``leaf.record_wins`` when the leaf supports it.
-    """
-    transitions = pomdp.transitions
-    observations = pomdp.observations
-    base_obs = observations.base
-
-    pred_base = transitions.predict_base(belief)
-    corrections = transitions.correction_matrix(belief).tocsr()
-    gamma_base = np.asarray(base_obs.T @ pred_base).ravel()
-    scores_base = np.asarray(base_obs.T @ (vectors * pred_base).T).T  # (k, |O|)
-    reachable_base = gamma_base > GAMMA_EPSILON
-    if reachable_base.any():
-        branch_scores = scores_base[:, reachable_base]
-        winners_base = tie_break_argmax(
-            branch_scores, BACKUP_TIE_EPSILON, axis=0
-        )
-        future_base = float(branch_scores.max(axis=0).sum())
+    action_bytes = 8 * (k + 3) * n_observations
+    if charge_block(
+        action_bytes * n_actions,
+        n_states=pomdp.n_states,
+        kind="tree.depth1_block",
+        max_bytes=max_bytes,
+    ):
+        width = n_actions
     else:
-        winners_base = np.zeros(0, dtype=int)
-        future_base = 0.0
+        width = max(1, max_cache_bytes(max_bytes) // action_bytes)
 
+    pred_base = transitions.predict_base(belief)
+    corrections = transitions.correction_matrix(belief).tocsr()
+    gamma_base = np.asarray(base_obs.T @ pred_base).ravel()
+    scores_base = np.asarray(base_obs.T @ (vectors * pred_base).T).T  # (k, |O|)
     rewards = rewards_matvec(pomdp.rewards, belief)
-    action_values = np.full(pomdp.n_actions, -np.inf)
-    all_winners: list[np.ndarray] = []
-    leaves = 0
-    indptr = corrections.indptr
-    for action in range(pomdp.n_actions):
-        if allowed_actions is not None and not allowed_actions[action]:
-            continue
-        start, stop = indptr[action], indptr[action + 1]
-        overridden_obs = action in observations.overrides
-        if start == stop and not overridden_obs:
-            action_values[action] = rewards[action] + pomdp.discount * future_base
-            all_winners.append(winners_base)
-            leaves += winners_base.size
-            continue
-        cols = corrections.indices[start:stop]
-        vals = corrections.data[start:stop]
-        if overridden_obs:
-            matrix = observations.matrix(action)
-            pred = pred_base.copy()
-            pred[cols] += vals
-            gamma = np.asarray(matrix.T @ pred).ravel()
-            scores = np.asarray(matrix.T @ (vectors * pred).T).T
-        else:
-            gamma = gamma_base + np.asarray(base_obs[cols].T @ vals).ravel()
-            scores = scores_base + np.asarray(
-                base_obs[cols].T @ (vectors[:, cols] * vals).T
-            ).T
-        reachable = gamma > GAMMA_EPSILON
-        if reachable.any():
-            branch_scores = scores[:, reachable]
-            winners = tie_break_argmax(branch_scores, BACKUP_TIE_EPSILON, axis=0)
-            future = float(branch_scores.max(axis=0).sum())
-        else:
-            winners = np.zeros(0, dtype=int)
-            future = 0.0
-        action_values[action] = rewards[action] + pomdp.discount * future
-        all_winners.append(winners)
-        leaves += winners.size
-
+    overrides = sorted(observations.overrides)
     record = getattr(leaf, "record_wins", None)
-    if record is not None and all_winners:
-        record(np.concatenate(all_winners))
-    best_action = _best_action(action_values)
-    return TreeDecision(
-        action=best_action,
-        value=float(action_values[best_action]),
-        action_values=action_values,
-        leaf_evaluations=leaves,
-        nodes=1,
-    )
+    action_values = np.empty(n_actions)
+
+    for start in range(0, n_actions, width):
+        stop = min(start + width, n_actions)
+        rows = corrections if width == n_actions else corrections[start:stop]
+        # gamma[a, o] = gamma_base[o] + (corrections[a] @ base_obs)[o]
+        gamma = (rows @ base_obs).toarray() + gamma_base[None, :]
+        scores = np.empty((k, stop - start, n_observations))
+        scaled = rows.copy()
+        for j in range(k):
+            scaled.data = rows.data * vectors[j, rows.indices]
+            scores[j] = (scaled @ base_obs).toarray()
+        scores += scores_base[:, None, :]
+
+        for action in overrides:
+            if not start <= action < stop:
+                continue
+            # Overridden observation rows bypass the base matrix entirely.
+            matrix = observations.matrix(action)
+            lo, hi = corrections.indptr[action], corrections.indptr[action + 1]
+            pred = pred_base.copy()
+            pred[corrections.indices[lo:hi]] += corrections.data[lo:hi]
+            gamma[action - start] = np.asarray(matrix.T @ pred).ravel()
+            scores[:, action - start, :] = np.asarray(
+                matrix.T @ (vectors * pred).T
+            ).T
+
+        reachable = gamma > GAMMA_EPSILON  # (stop - start, |O|)
+        if allowed_actions is not None:
+            reachable &= allowed_actions[start:stop, None]
+        leaves = int(np.count_nonzero(reachable))
+        counts["leaves"] += leaves
+        if record is not None and leaves:
+            # Row-major selection is action-major, observation-ascending;
+            # usage is a count, so crediting slice by slice is exact.  A
+            # single bound vector wins every branch by construction.
+            if k == 1:
+                record(np.zeros(leaves, dtype=np.intp))
+            else:
+                winners = tie_break_argmax(scores, BACKUP_TIE_EPSILON, axis=0)
+                record(winners[reachable])
+
+        # max over one vector is the vector itself; skip the (k, |A|, |O|)
+        # reduction on the single-seed hot path.  scores is not read again,
+        # so zeroing the unreachable branches in place is safe.
+        best = scores[0] if k == 1 else scores.max(axis=0)
+        best[~reachable] = 0.0
+        action_values[start:stop] = rewards[start:stop] + pomdp.discount * best.sum(
+            axis=1
+        )
+
+    counts["nodes"] += 1
+    if allowed_actions is not None:
+        action_values[~allowed_actions] = -np.inf
+    return action_values

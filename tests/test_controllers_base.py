@@ -4,12 +4,13 @@ import numpy as np
 import pytest
 
 from repro.controllers.base import NO_ACTION, Decision, RecoveryController
+from repro.controllers.engine import PolicyEngine
 from repro.exceptions import ControllerError
 from repro.sim.environment import NO_OBSERVATION
 
 
-class FixedActionController(RecoveryController):
-    """Minimal concrete controller for lifecycle tests."""
+class FixedActionEngine(PolicyEngine):
+    """Minimal concrete engine for lifecycle tests."""
 
     name = "fixed"
 
@@ -17,8 +18,18 @@ class FixedActionController(RecoveryController):
         super().__init__(model)
         self.action = action
 
-    def _decide(self, belief):
+    def decide(self, session):
         return Decision(action=self.action)
+
+
+class TerminatorEngine(PolicyEngine):
+    def decide(self, session):
+        return Decision(action=-1, is_terminate=True)
+
+
+class FixedActionController(RecoveryController):
+    def __init__(self, model, action=0):
+        super().__init__(engine=FixedActionEngine(model, action))
 
 
 class TestLifecycle:
@@ -57,11 +68,9 @@ class TestLifecycle:
             controller.reset(initial_belief=np.array([1.0]))
 
     def test_decide_after_terminate_rejected(self, simple_system):
-        class Terminator(FixedActionController):
-            def _decide(self, belief):
-                return Decision(action=-1, is_terminate=True)
-
-        controller = Terminator(simple_system.model)
+        controller = RecoveryController(
+            engine=TerminatorEngine(simple_system.model)
+        )
         controller.reset()
         decision = controller.decide()
         assert decision.is_terminate
@@ -122,7 +131,7 @@ class TestObserve:
 class TestTerminateDecision:
     def test_carries_terminate_action_when_model_has_one(self, simple_system):
         controller = FixedActionController(simple_system.model)
-        decision = controller._terminate_decision(value=1.5)
+        decision = controller.engine.terminate_decision(value=1.5)
         assert decision.is_terminate
         assert decision.action == simple_system.model.terminate_action
         assert decision.executes_action
@@ -132,7 +141,7 @@ class TestTerminateDecision:
         self, simple_notified_system
     ):
         controller = FixedActionController(simple_notified_system.model)
-        decision = controller._terminate_decision()
+        decision = controller.engine.terminate_decision()
         assert decision.is_terminate
         assert decision.action == NO_ACTION
         assert not decision.executes_action

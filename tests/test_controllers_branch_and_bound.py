@@ -7,8 +7,10 @@ from repro.bounds.ra_bound import ra_bound_vector
 from repro.bounds.vector_set import BoundVectorSet
 from repro.controllers.bounded import BoundedController
 from repro.controllers.branch_and_bound import BranchAndBoundController
+from repro.exceptions import ControllerError
 from repro.sim.campaign import run_campaign
 from repro.systems.faults import FaultKind
+from repro.systems.tiered import build_tiered_system
 
 
 class TestConstruction:
@@ -20,6 +22,11 @@ class TestConstruction:
     def test_invalid_depth_rejected(self, simple_system):
         with pytest.raises(ValueError):
             BranchAndBoundController(simple_system.model, depth=0)
+
+    def test_sparse_model_rejected(self):
+        system = build_tiered_system((2, 2), backend="sparse")
+        with pytest.raises(ControllerError, match="dense backend"):
+            BranchAndBoundController(system.model)
 
 
 class TestDecisionSoundness:

@@ -4,20 +4,26 @@ import numpy as np
 import pytest
 
 from repro.controllers.base import RecoveryController
+from repro.controllers.engine import PolicyEngine
 from repro.controllers.most_likely import MostLikelyController
 from repro.controllers.oracle import OracleController
 from repro.sim.campaign import run_campaign, run_episode
 from repro.sim.environment import RecoveryEnvironment
 
 
-class ImmediateTerminator(RecoveryController):
+class ImmediateTerminatorEngine(PolicyEngine):
     """Gives up on the first decision — exercises the termination paths."""
 
     name = "terminator"
     uses_monitors = False
 
-    def _decide(self, belief):
-        return self._terminate_decision(value=0.0)
+    def decide(self, session):
+        return self.terminate_decision(value=0.0)
+
+
+class ImmediateTerminator(RecoveryController):
+    def __init__(self, model):
+        super().__init__(engine=ImmediateTerminatorEngine(model))
 
 
 class TestRunEpisode:
