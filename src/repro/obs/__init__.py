@@ -5,7 +5,8 @@ single-episode traces cannot: where a campaign spends its time, how the
 bound-vector set grows (Figure 5(b)'s storage story), why controllers
 terminated, whether the solver/cache routing behaves as designed — and,
 since v2, how fast the lower bound converges per refinement and whether a
-change regressed the measured hot paths.
+change moved a campaign fingerprint.  Performance itself is measured by
+the repository benchmark in ``perfbench/`` (see ``perfbench/README.md``).
 
 Six pieces:
 
@@ -21,7 +22,7 @@ Six pieces:
 * :mod:`repro.obs.convergence` — bound-convergence analytics over
   ``refine`` events (gap vs refinement index and vs wall-clock);
 * :mod:`repro.obs.bench` — the canonical benchmark-snapshot schema and
-  regression comparison (``bench compare OLD NEW --threshold PCT``);
+  fingerprint-drift comparison (``bench compare OLD NEW``);
 * :mod:`repro.obs.report` — offline aggregation of a recorded run
   (``python -m repro.obs report run.jsonl``, ``--session ID`` to narrow
   a multi-session daemon stream);

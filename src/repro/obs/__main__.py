@@ -9,12 +9,15 @@ Examples::
     python -m repro.obs trace run.jsonl --chrome trace.json \
         --collapsed stacks.txt                  # export trace spans
     python -m repro.obs convergence run.jsonl [--png gap.png]
-    python -m repro.obs bench compare OLD NEW --threshold 25
     python -m repro.obs bench store results/ --snapshot BENCH.json
+    python -m repro.obs bench compare OLD NEW   # fingerprint drift
+
+Performance is measured by ``perfbench/`` (see ``perfbench/README.md``);
+``bench compare`` only checks that two snapshots' exact metrics match.
 
 Exit codes follow the ``repro.analysis`` convention throughout: 0 — clean;
-1 — diagnostics found (schema problems, benchmark regressions); 2 — usage
-or I/O errors (missing file, unknown snapshot schema).  Empty and
+1 — diagnostics found (schema problems, fingerprint drift); 2 — usage or
+I/O errors (missing file, unknown snapshot schema, malformed metrics).  Empty and
 header-only telemetry streams are *clean*: a run killed before its summary
 leaves a truncated-but-valid file behind, and both ``report`` and
 ``validate`` treat it as an empty run rather than a corrupt one.
@@ -118,7 +121,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     except BenchFormatError as error:
         print(str(error))
         return 2
-    result = compare(old, new, threshold_pct=args.threshold)
+    result = compare(old, new)
     print(format_comparison(result), end="")
     return 0 if result.ok else 1
 
@@ -252,17 +255,10 @@ def main(argv: list[str] | None = None) -> int:
     )
     bench_sub = bench.add_subparsers(dest="bench_command", required=True)
     bench_compare = bench_sub.add_parser(
-        "compare", help="compare two snapshots for regressions"
+        "compare", help="compare two snapshots for fingerprint drift"
     )
     bench_compare.add_argument("old", type=Path, help="baseline snapshot")
     bench_compare.add_argument("new", type=Path, help="candidate snapshot")
-    bench_compare.add_argument(
-        "--threshold",
-        type=float,
-        default=25.0,
-        metavar="PCT",
-        help="allowed directional drift in percent (default: 25)",
-    )
     bench_store = bench_sub.add_parser(
         "store",
         help="render a campaign-grid results store as a benchmark "

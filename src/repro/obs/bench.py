@@ -1,12 +1,11 @@
-"""Canonical benchmark snapshots and perf-regression comparison.
+"""Canonical benchmark snapshots and fingerprint-drift comparison.
 
-The repo has accumulated one benchmark file per perf PR —
-``BENCH_PR2.json`` (``bench-pr2/v1``: campaign throughput, RA-Bound solve
-scaling, tree expansion) and ``BENCH_PR4.json`` (``bench-pr4/v1``:
-dense-vs-sparse backend latency and cross-backend campaign parity) — with
-nothing comparing them.  This module defines the canonical schema every
-future snapshot uses and the comparison that turns two snapshots into a
-regression verdict.
+Performance is measured by the repository benchmark in ``perfbench/``
+(see ``perfbench/README.md``): repeated runs against a named baseline
+commit, reported as median and spread.  This module covers the other
+half of a benchmark trajectory: whether *behaviour* drifted.  A snapshot
+records deterministic fingerprints as ``exact`` metrics, and comparing
+two snapshots fails on any difference between them.
 
 **Canonical schema** (``repro-bench/v1``)::
 
@@ -15,25 +14,21 @@ regression verdict.
       "generated_by": "...",
       "machine": {"cpu_count": ..., "platform": ..., "python": ...},
       "seed": 2006,
-      "source_schemas": ["bench-pr2/v1", "bench-pr4/v1"],
+      "source_schemas": ["repro-grid/v1"],
       "metrics": {
         "<dotted.name>": {"value": ..., "unit": "...", "direction": "..."}
       }
     }
 
-Every metric is self-describing: ``direction`` is ``"lower"`` (latency —
-regression when the new value exceeds the old by more than the threshold),
-``"higher"`` (throughput), ``"exact"`` (fingerprints and parity flags —
-any change is a failure at any threshold), or ``"info"`` (recorded but
-never compared, e.g. memory footprints that vary with allocator
-behaviour).  :func:`load_snapshot` reads all three schemas, normalising
-the two legacy layouts into canonical metrics, so
-``python -m repro.obs bench compare BENCH_PR4.json BENCH_PR5.json``
-works across PR generations.
+Every metric is self-describing: ``direction`` is ``"exact"``
+(fingerprints and parity flags — any change is a failure) or ``"info"``
+(recorded but never compared, e.g. wall time or a cell's cost).  The
+producer is ``python -m repro.obs bench store DIR --snapshot OUT.json``,
+which exports a campaign-grid results store (:func:`store_snapshot`).
 
 Exit codes follow the ``repro.analysis`` CLI convention: 0 — no
-regressions; 1 — at least one regression or exact-metric mismatch;
-2 — usage or I/O error (unreadable file, unknown schema).
+drift; 1 — at least one exact-metric mismatch; 2 — usage or I/O error
+(unreadable file, unknown schema, malformed metrics).
 """
 
 from __future__ import annotations
@@ -48,14 +43,8 @@ from repro.util.tables import render_table
 #: The canonical snapshot schema tag.
 BENCH_SCHEMA = "repro-bench/v1"
 
-#: Legacy schemas :func:`load_snapshot` can normalise.
-LEGACY_SCHEMAS = frozenset({"bench-pr2/v1", "bench-pr4/v1"})
-
-#: Default regression threshold (percent) for directional metrics.
-DEFAULT_THRESHOLD_PCT = 25.0
-
 #: Valid ``direction`` values of a canonical metric.
-DIRECTIONS = frozenset({"lower", "higher", "exact", "info"})
+DIRECTIONS = frozenset({"exact", "info"})
 
 
 class BenchFormatError(ValueError):
@@ -81,93 +70,12 @@ class Snapshot:
     seed: int | None = None
 
 
-def _slug(controller: str) -> str:
-    """``"bounded (depth 1)"`` → ``"bounded_depth_1"``."""
-    return "".join(
-        ch if ch.isalnum() else "_" for ch in controller.lower()
-    ).strip("_").replace("__", "_")
-
-
-def _metrics_pr2(document: dict[str, Any]) -> dict[str, Metric]:
-    metrics: dict[str, Metric] = {}
-    for row in document.get("campaign", []):
-        prefix = f"campaign.{_slug(row['controller'])}"
-        metrics[f"{prefix}.serial_seconds"] = Metric(
-            row["serial_seconds"], "s", "lower"
-        )
-        metrics[f"{prefix}.parallel_seconds"] = Metric(
-            row["parallel_seconds"], "s", "lower"
-        )
-        metrics[f"{prefix}.serial_episodes_per_second"] = Metric(
-            row["serial_episodes_per_second"], "eps/s", "higher"
-        )
-        metrics[f"{prefix}.fingerprint"] = Metric(
-            row["fingerprint"], "sha256", "exact"
-        )
-        metrics[f"{prefix}.fingerprints_match"] = Metric(
-            row["fingerprints_match"], "bool", "exact"
-        )
-    for row in document.get("ra_solve", []):
-        prefix = f"ra_solve.n{row['n_states']}"
-        if row.get("sparse_seconds") is not None:
-            metrics[f"{prefix}.sparse_seconds"] = Metric(
-                row["sparse_seconds"], "s", "lower"
-            )
-        if row.get("dense_seconds") is not None:
-            metrics[f"{prefix}.dense_seconds"] = Metric(
-                row["dense_seconds"], "s", "lower"
-            )
-    emn = document.get("ra_solve_emn")
-    if emn:
-        metrics["ra_solve.emn.solve_seconds"] = Metric(
-            emn["solve_seconds"], "s", "lower"
-        )
-    tree = document.get("tree")
-    if tree:
-        metrics["tree.seconds"] = Metric(tree["seconds"], "s", "lower")
-        metrics["tree.decisions_per_second"] = Metric(
-            tree["decisions_per_second"], "dec/s", "higher"
-        )
-    return metrics
-
-
-def _metrics_pr4(document: dict[str, Any]) -> dict[str, Metric]:
-    metrics: dict[str, Metric] = {}
-    for row in document.get("backends", []):
-        prefix = f"backend.tiered{row['replicas_per_tier']}"
-        if row.get("dense_decision_ms") is not None:
-            metrics[f"{prefix}.dense_decision_ms"] = Metric(
-                row["dense_decision_ms"], "ms", "lower"
-            )
-        if row.get("sparse_decision_ms") is not None:
-            metrics[f"{prefix}.sparse_decision_ms"] = Metric(
-                row["sparse_decision_ms"], "ms", "lower"
-            )
-        if row.get("sparse_model_bytes") is not None:
-            metrics[f"{prefix}.sparse_model_bytes"] = Metric(
-                row["sparse_model_bytes"], "bytes", "info"
-            )
-        if row.get("decisions_match") is not None:
-            metrics[f"{prefix}.decisions_match"] = Metric(
-                row["decisions_match"], "bool", "exact"
-            )
-    campaign = document.get("campaign")
-    if campaign:
-        prefix = f"campaign.{_slug(campaign['controller'])}"
-        for mode, seconds in campaign.get("seconds", {}).items():
-            metrics[f"{prefix}.{mode}_seconds"] = Metric(seconds, "s", "lower")
-        metrics[f"{prefix}.fingerprint"] = Metric(
-            campaign["fingerprint"], "sha256", "exact"
-        )
-        metrics[f"{prefix}.fingerprints_match"] = Metric(
-            campaign["fingerprints_match"], "bool", "exact"
-        )
-    return metrics
-
-
 def _metrics_canonical(document: dict[str, Any]) -> dict[str, Metric]:
+    entries = document.get("metrics", {})
+    if not isinstance(entries, dict):
+        raise BenchFormatError("'metrics' must be an object of named metrics")
     metrics: dict[str, Metric] = {}
-    for name, entry in document.get("metrics", {}).items():
+    for name, entry in entries.items():
         if not isinstance(entry, dict) or "value" not in entry:
             raise BenchFormatError(
                 f"metric {name!r} must be an object with a 'value' field"
@@ -186,20 +94,13 @@ def _metrics_canonical(document: dict[str, Any]) -> dict[str, Metric]:
 def normalize(document: dict[str, Any]) -> Snapshot:
     """Normalise a decoded benchmark document into canonical metrics."""
     schema = document.get("schema")
-    if schema == BENCH_SCHEMA:
-        metrics = _metrics_canonical(document)
-    elif schema == "bench-pr2/v1":
-        metrics = _metrics_pr2(document)
-    elif schema == "bench-pr4/v1":
-        metrics = _metrics_pr4(document)
-    else:
+    if schema != BENCH_SCHEMA:
         raise BenchFormatError(
-            f"unknown benchmark schema {schema!r} "
-            f"(known: {sorted(LEGACY_SCHEMAS | {BENCH_SCHEMA})})"
+            f"unknown benchmark schema {schema!r} (known: {BENCH_SCHEMA!r})"
         )
     return Snapshot(
-        schema=str(schema),
-        metrics=metrics,
+        schema=BENCH_SCHEMA,
+        metrics=_metrics_canonical(document),
         machine=document.get("machine", {}),
         seed=document.get("seed"),
     )
@@ -223,7 +124,7 @@ def canonical_document(
     metrics: dict[str, Metric],
     machine: dict[str, Any] | None = None,
     seed: int | None = None,
-    generated_by: str = "python -m benchmarks.perf_snapshot",
+    generated_by: str = "python -m repro.obs bench store",
     source_schemas: list[str] | None = None,
 ) -> dict[str, Any]:
     """Assemble a canonical ``repro-bench/v1`` document for serialisation."""
@@ -255,10 +156,10 @@ def store_snapshot(root) -> Snapshot:
     change may legitimately move them, and the fingerprint already catches
     unintentional moves bit-exactly).
 
-    Accepts a store directory path or a ``ResultsStore``.  This is how the
-    BENCH history becomes a queryable trajectory: sweep into a store,
-    export with ``python -m repro.obs bench store DIR --snapshot OUT.json``,
-    and gate future sweeps against the export with ``bench compare``.
+    Accepts a store directory path or a ``ResultsStore``.  This is how a
+    sweep becomes a queryable trajectory: sweep into a store, export with
+    ``python -m repro.obs bench store DIR --snapshot OUT.json``, and gate
+    future sweeps against the export with ``bench compare``.
     """
     from repro.experiments.store import ResultsStore
 
@@ -330,7 +231,6 @@ class MetricComparison:
     new: Any
     unit: str
     direction: str
-    change_pct: float | None
     regressed: bool
 
 
@@ -339,7 +239,6 @@ class ComparisonResult:
     """Outcome of comparing two snapshots metric by metric."""
 
     rows: list[MetricComparison]
-    threshold_pct: float
 
     @property
     def regressions(self) -> list[MetricComparison]:
@@ -350,49 +249,29 @@ class ComparisonResult:
         return not self.regressions
 
 
-def compare(
-    old: Snapshot, new: Snapshot, threshold_pct: float = DEFAULT_THRESHOLD_PCT
-) -> ComparisonResult:
+def compare(old: Snapshot, new: Snapshot) -> ComparisonResult:
     """Compare the metrics present in both snapshots.
 
-    Directional metrics regress when they move against their direction by
-    more than ``threshold_pct`` percent of the old value; ``exact`` metrics
-    (fingerprints, parity flags) fail on *any* difference; ``info`` metrics
-    are reported but never fail.  Metrics present in only one snapshot are
-    skipped — PR-era snapshots legitimately measure different things.
+    ``exact`` metrics (fingerprints, parity flags) fail on *any*
+    difference; ``info`` metrics are reported but never fail.  Metrics
+    present in only one snapshot are skipped — two sweeps of different
+    specs legitimately record different cells.
     """
     rows: list[MetricComparison] = []
-    factor = threshold_pct / 100.0
     for name in sorted(old.metrics.keys() & new.metrics.keys()):
         before, after = old.metrics[name], new.metrics[name]
         direction = after.direction if before.direction == "info" else before.direction
-        change_pct: float | None = None
-        regressed = False
-        old_value, new_value = before.value, after.value
-        numeric = isinstance(old_value, (int, float)) and isinstance(
-            new_value, (int, float)
-        ) and not isinstance(old_value, bool) and not isinstance(new_value, bool)
-        if direction == "exact":
-            regressed = old_value != new_value
-        elif numeric and direction in ("lower", "higher"):
-            if old_value:
-                change_pct = 100.0 * (new_value - old_value) / abs(old_value)
-            if direction == "lower":
-                regressed = new_value > old_value * (1.0 + factor)
-            else:
-                regressed = new_value < old_value * (1.0 - factor)
         rows.append(
             MetricComparison(
                 name=name,
-                old=old_value,
-                new=new_value,
+                old=before.value,
+                new=after.value,
                 unit=before.unit,
                 direction=direction,
-                change_pct=change_pct,
-                regressed=regressed,
+                regressed=direction == "exact" and before.value != after.value,
             )
         )
-    return ComparisonResult(rows=rows, threshold_pct=threshold_pct)
+    return ComparisonResult(rows=rows)
 
 
 def format_comparison(result: ComparisonResult) -> str:
@@ -412,19 +291,15 @@ def format_comparison(result: ComparisonResult) -> str:
             row.name,
             cell(row.old),
             cell(row.new),
-            "-" if row.change_pct is None else f"{row.change_pct:+.1f}%",
             row.direction,
             "REGRESSED" if row.regressed else "ok",
         ]
         for row in result.rows
     ]
     table = render_table(
-        ["metric", "old", "new", "change", "direction", "status"],
+        ["metric", "old", "new", "direction", "status"],
         rows,
-        title=(
-            f"benchmark comparison "
-            f"(threshold {result.threshold_pct:g}% on directional metrics)"
-        ),
+        title="benchmark comparison (exact metrics must match)",
     )
     count = len(result.regressions)
     verdict = (

@@ -305,6 +305,27 @@ class TestShippedSystems:
             densify_rewards(sparse.pomdp.rewards), dense.pomdp.rewards, atol=TOL
         )
 
+    @pytest.mark.parametrize("replicas_per_tier", [20, 50])
+    def test_tiered_decisions_match_dense(self, replicas_per_tier):
+        """A depth-1 bounded decision from the uniform fault belief picks
+        the same action on both backends."""
+        from repro.controllers.bounded import BoundedController
+        from repro.pomdp.belief import uniform_belief
+
+        actions = []
+        for backend in ("dense", "sparse"):
+            model = build_tiered_system(
+                replicas=(replicas_per_tier,) * 3, backend=backend
+            ).model
+            controller = BoundedController(model, depth=1, refine_online=False)
+            controller.reset(
+                initial_belief=uniform_belief(
+                    model.pomdp, support=model.fault_states
+                )
+            )
+            actions.append(controller.decide().action)
+        assert actions[0] == actions[1]
+
     def test_convert_backend_round_trip(self):
         dense = build_tiered_system(replicas=(2, 2, 2), backend="dense").model
         back = convert_backend(convert_backend(dense, "sparse"), "dense")

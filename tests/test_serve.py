@@ -117,6 +117,34 @@ class TestPolicyService:
             service.observe(old, left["action"], 1)
             warm.observe(new, right["action"], 1)
 
+    def test_memoised_warm_start_is_a_quarter_of_cold(self, tmp_path):
+        """The warm-start contract: once a restart has run (and memoised)
+        the R3xx certification sweep, reloading the checkpointed bound set
+        takes at most 25% of the cold start that paid RA-Bound seeding and
+        the Section 4.1 bootstrap refinement."""
+        from repro.systems.tiered import build_tiered_system
+
+        model = build_tiered_system(replicas=(10, 10, 10), backend="sparse").model
+        config = ServiceConfig(
+            bounds_path=str(tmp_path / "bounds.npz"),
+            checkpoint_interval=0,
+            bootstrap_iterations=12,
+        )
+        cold = PolicyService(config, model=model)
+        assert not cold.started_warm
+        sid = cold.open_session()
+        _drive_to_termination(cold, sid)
+        cold.close_session(sid)
+        cold.checkpoint()
+
+        assert PolicyService(config, model=model).started_warm
+        warm = PolicyService(config, model=model)
+        assert warm.started_warm
+        assert warm.startup_seconds <= 0.25 * cold.startup_seconds, (
+            f"warm start {warm.startup_seconds * 1000:.1f} ms exceeds 25% "
+            f"of the {cold.startup_seconds * 1000:.1f} ms cold start"
+        )
+
     def test_drain_rejects_new_sessions(self, service):
         sid = service.open_session()
         closer = threading.Timer(0.1, service.close_session, args=(sid,))
