@@ -23,7 +23,7 @@ The CI guard for the serve-layer contract of :mod:`repro.serve`:
    engine-lock queueing), exceeds the pinned ceiling
    (:data:`P99_CEILING_MS`, override with ``REPRO_SERVE_P99_CEILING_MS``);
 8. validate the warm daemon's periodic metrics-snapshot JSONL flusher
-   stream against the ``repro-obs/v3`` schema (kept under ``--keep`` as
+   stream against the ``repro-obs/v4`` schema (kept under ``--keep`` as
    the CI artifact);
 9. fail if the run leaked ``/dev/shm`` entries, socket files, or
    ``*.tmp`` archives anywhere in the work tree.

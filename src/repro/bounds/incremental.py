@@ -36,6 +36,7 @@ from repro.linalg.ops import (
     tie_break_argmax,
     transition_matvec,
 )
+from repro.obs.telemetry import span
 from repro.obs.telemetry import active as telemetry_active
 from repro.pomdp.belief import GAMMA_EPSILON, belief_bellman_backup
 from repro.pomdp.cache import get_joint_cache
@@ -125,17 +126,11 @@ def refine_at(
     "can be discarded".
     """
     belief = np.asarray(belief, dtype=float)
-    telemetry = telemetry_active()
-    if telemetry is not None:
-        with (
-            telemetry.trace_span("bounds.refine", category="bounds"),
-            telemetry.span("bounds.refine"),
-        ):
-            vector, action = incremental_update(pomdp, bound_set.vectors, belief)
-    else:
+    with span("bounds.refine", category="bounds"):
         vector, action = incremental_update(pomdp, bound_set.vectors, belief)
     improvement = bound_set.improvement_at(vector, belief)
     added = bound_set.add(vector, belief=belief, min_improvement=min_improvement)
+    telemetry = telemetry_active()
     if telemetry is not None:
         telemetry.count("bounds.refinements")
         if added:

@@ -10,8 +10,9 @@ alone (no live process needed):
   improvement delivered, and the vector-set size trajectory (the paper's
   Figure 5(b) storage curve, observed on a live campaign);
 * solver routing and joint-factor cache effectiveness;
-* wall-clock spans (outside the determinism contract, like
-  ``algorithm_time``).
+* wall-clock span latencies from the summary histograms — calls,
+  seconds, p50 and p99 per span site (outside the determinism contract,
+  like ``algorithm_time``).
 """
 
 from __future__ import annotations
@@ -142,6 +143,11 @@ def _cache_lines(summary: dict[str, Any]) -> list[str]:
     ]
 
 
+def _edge_cell(edge_ms: float | None) -> float | str:
+    """A bucket-edge quantile cell; ``None`` marks the overflow bucket."""
+    return "> 100 s" if edge_ms is None else edge_ms
+
+
 def format_report(aggregate: RunAggregate) -> str:
     """Render the aggregate as the CLI report."""
     sections: list[str] = []
@@ -218,17 +224,23 @@ def format_report(aggregate: RunAggregate) -> str:
                     title="Deterministic counters (worker-count invariant)",
                 )
             )
-        timers = summary.get("timers", {})
-        if timers:
+        histograms = summary.get("histograms", {})
+        if histograms:
             sections.append(
                 render_table(
-                    ["Span", "Seconds", "Calls"],
+                    ["Span", "Calls", "Seconds", "p50 ms", "p99 ms"],
                     [
-                        [name, stat.get("seconds", 0.0), stat.get("calls", 0)]
-                        for name, stat in sorted(timers.items())
+                        [
+                            name,
+                            entry.get("count", 0),
+                            entry.get("sum_seconds", 0.0),
+                            _edge_cell(entry.get("p50_ms")),
+                            _edge_cell(entry.get("p99_ms")),
+                        ]
+                        for name, entry in sorted(histograms.items())
                     ],
-                    title="Wall-clock spans (not part of the determinism "
-                    "contract)",
+                    title="Wall-clock span latencies (not part of the "
+                    "determinism contract)",
                 )
             )
         sections.extend(_cache_lines(summary))

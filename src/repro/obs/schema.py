@@ -22,7 +22,7 @@ Schema history:
   events with convergence extras (``value``, ``t``, cumulative
   ``dominated``/``evicted``).  v2 readers accept v1 streams unchanged —
   every v1 stream is a valid v2 stream; see :data:`SUPPORTED_SCHEMAS`.
-* ``repro-obs/v3`` (current) — the live-operations schema.  The
+* ``repro-obs/v3`` — the live-operations schema.  The
   ``summary`` payload gains an optional ``histograms`` object (fixed
   log-spaced bucket counts plus bucket-derived p50/p95/p99/max, see
   :data:`repro.obs.telemetry.LATENCY_BUCKET_EDGES`); two event kinds are
@@ -36,6 +36,12 @@ Schema history:
   framing rule below exempts snapshot lines, so a stream from a
   daemon killed mid-flight stays valid (truncation is not corruption).
   v3 readers accept v1 and v2 streams unchanged.
+* ``repro-obs/v4`` (current) — histograms are the one duration
+  primitive.  The ``summary`` payload and ``metrics_snapshot`` lines drop
+  the ``timers`` object: each span site's call count and accumulated
+  seconds are its histogram's ``count`` and ``sum_seconds``.  ``summary``
+  therefore no longer requires ``timers``; v1–v3 streams, which carry
+  it, still validate.
 
 Determinism contract: for a seeded campaign, the ``summary`` event's
 ``counters`` object and the episode-ordered simulation events
@@ -44,7 +50,8 @@ identical whatever the worker count — the campaign engine buffers them per
 chunk and replays them in chunk order.  Span *structure* (names, nesting,
 emission order) shares the guarantee; span timestamps do not.  Outside the
 contract sit the wall-clock fields in :data:`WALL_CLOCK_FIELDS`, the
-``timers`` and ``process_counters`` summary objects, process-local events
+histogram bucket placements and sums, the ``timers`` of v1–v3 summaries,
+the ``process_counters`` summary object, process-local events
 (``cache_build``/``cache_decline`` happen once per worker process), and
 the ``workers`` extra on ``campaign_start`` — all varying run to run or
 with the worker count, exactly as the ``algorithm_time`` metric does
@@ -58,17 +65,19 @@ from pathlib import Path
 from typing import Any
 
 #: Version tag written by ``session_start`` events.
-SCHEMA_VERSION = "repro-obs/v3"
+SCHEMA_VERSION = "repro-obs/v4"
 
 #: Schema versions :func:`validate_stream` accepts.  Each version's event
 #: kinds are a superset of its predecessor's, so one validator covers all.
-SUPPORTED_SCHEMAS = frozenset({"repro-obs/v1", "repro-obs/v2", "repro-obs/v3"})
+SUPPORTED_SCHEMAS = frozenset(
+    {"repro-obs/v1", "repro-obs/v2", "repro-obs/v3", "repro-obs/v4"}
+)
 
 #: Required fields per event kind (beyond ``event`` and ``seq``).
 EVENT_FIELDS: dict[str, frozenset[str]] = {
     # Session lifecycle (written by repro.obs.telemetry.session).
     "session_start": frozenset({"schema"}),
-    "summary": frozenset({"counters", "process_counters", "gauges", "timers"}),
+    "summary": frozenset({"counters", "process_counters", "gauges"}),
     "session_end": frozenset(),
     # Campaign lifecycle (repro.sim.campaign / repro.sim.parallel).
     "campaign_start": frozenset({"controller", "injections", "chunk_size"}),

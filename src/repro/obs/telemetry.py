@@ -14,14 +14,13 @@ metrics taxonomy:
 * **gauges** — last-written floats ("bound-set size"), merged across
   campaign chunks by maximum (the storage story of Figure 5(b) cares about
   the high-water mark).
-* **timers** — accumulated wall-clock spans with call counts, recorded via
-  :meth:`Telemetry.span`.  Wall-clock, hence never part of the determinism
-  contract.
-* **latency histograms** — fixed-bucket distributions of wall-clock
-  durations, recorded via :meth:`Telemetry.observe_latency` (and
-  automatically by every :meth:`Telemetry.span` site).  The bucket edges
-  are the module constant :data:`LATENCY_BUCKET_EDGES` — log-spaced, four
-  per decade from 10 µs to 100 s — so histograms from different workers,
+* **latency histograms** — the one duration primitive: fixed-bucket
+  distributions of wall-clock durations, recorded by every :func:`span`
+  site and by :meth:`Telemetry.observe_latency` for durations measured
+  elsewhere.  A histogram's ``total`` and ``sum_seconds`` are the call
+  count and accumulated seconds of its site.  The bucket edges are the
+  module constant :data:`LATENCY_BUCKET_EDGES` — log-spaced, four per
+  decade from 10 µs to 100 s — so histograms from different workers,
   chunks, or processes merge by plain element-wise addition and the
   aggregate never depends on merge order or worker count (the same
   algebra the deterministic counters rely on).  Quantiles (p50/p95/p99)
@@ -29,18 +28,18 @@ metrics taxonomy:
   value is a bucket upper edge, never a raw wall-clock sample — so any
   two registries holding the same counts report the same quantiles.  The
   recorded durations themselves are wall-clock and sit outside the
-  determinism contract, like timers.
+  determinism contract.
 * **trace spans** — *hierarchical* wall-clock spans with parent ids,
-  recorded via :meth:`Telemetry.trace_span` when the registry was created
-  with ``trace=True``.  Where timers aggregate ("total seconds in
-  ``solver.solve``"), trace spans keep every occurrence with its position
-  in the call tree (campaign → episode → decision → tree expansion → leaf
-  batch → solver call → cache lookup), ready for export to Chrome
-  ``trace_event`` JSON or a collapsed-stack flamegraph
+  recorded by the same :func:`span` sites when the registry was created
+  with ``trace=True``.  Where histograms aggregate ("how long does
+  ``solver.solve`` take"), trace spans keep every occurrence with its
+  position in the call tree (campaign → episode → decision → tree
+  expansion → leaf batch → solver call → cache lookup), ready for export
+  to Chrome ``trace_event`` JSON or a collapsed-stack flamegraph
   (:mod:`repro.obs.trace`).  Span storage is a bounded ring buffer
-  (:data:`DEFAULT_MAX_SPANS`, override with ``REPRO_MAX_TRACE_SPANS``):
-  when full, the oldest span is dropped and the ``trace.events_dropped``
-  counter incremented, so tracing can never OOM a long campaign.
+  (:data:`DEFAULT_MAX_SPANS`): when full, the oldest span is dropped and
+  the ``trace.events_dropped`` counter incremented, so tracing can never
+  OOM a long campaign.
 
 Events are dictionaries with an ``event`` kind (see
 :mod:`repro.obs.schema`) appended to a JSONL sink when one is attached, or
@@ -55,22 +54,22 @@ Instrumentation is **off by default**.  Hot paths guard with::
 
 which costs one function call and a ``None`` test when disabled — far below
 the noise floor of any measured path (see EXPERIMENTS.md for numbers).
-:meth:`Telemetry.trace_span` returns a shared no-op context manager when
-tracing is off, so span sites cost one extra attribute test beyond the
-guard above.
+Timed sites make one call, ``with span("tree.expand", category="tree"):``,
+which returns a shared no-op context manager when telemetry is off; one
+:class:`Span` reads the clock twice and feeds both the histogram and, when
+tracing, the :class:`SpanRecord`.
 """
 
 from __future__ import annotations
 
 import json
 import math
-import os
 import threading
 import time
 from bisect import bisect_left
 from collections import Counter, deque
 from collections.abc import Iterator
-from contextlib import contextmanager, nullcontext
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import IO, Any
@@ -78,13 +77,9 @@ from typing import IO, Any
 from repro.obs.schema import SCHEMA_VERSION
 
 #: Default capacity of the per-registry span ring buffer.  At ~150 bytes a
-#: span this bounds trace storage to tens of megabytes; override with the
-#: ``REPRO_MAX_TRACE_SPANS`` environment variable or the ``max_spans``
-#: constructor argument.
+#: span this bounds trace storage to tens of megabytes; tests substitute a
+#: small ring through the ``max_spans`` constructor argument.
 DEFAULT_MAX_SPANS = 200_000
-
-#: Environment variable overriding :data:`DEFAULT_MAX_SPANS`.
-MAX_SPANS_ENV = "REPRO_MAX_TRACE_SPANS"
 
 #: Counter incremented when the span ring buffer drops its oldest span.
 SPANS_DROPPED_COUNTER = "trace.events_dropped"
@@ -109,10 +104,10 @@ class LatencyHistogram:
     ``counts[i]`` counts observations with ``value <= LATENCY_BUCKET_EDGES[i]``
     (exclusive of the previous edge); the final slot counts overflow
     (``value > 100 s``).  ``sum_seconds`` accumulates the raw durations for
-    rate/mean reporting — wall-clock, outside the determinism contract,
-    exactly like timers.  Everything quantile-like is derived from the
-    bucket counts alone (:meth:`quantile`, :meth:`max_seconds`), so two
-    histograms with identical counts always report identical statistics.
+    rate/mean reporting — wall-clock, outside the determinism contract.
+    Everything quantile-like is derived from the bucket counts alone
+    (:meth:`quantile`, :meth:`max_seconds`), so two histograms with
+    identical counts always report identical statistics.
     """
 
     __slots__ = ("counts", "sum_seconds")
@@ -156,33 +151,20 @@ class LatencyHistogram:
         bucket, and ``0.0`` for an empty histogram.  Derived from counts
         only — never from the order or exact values of the observations.
         """
-        total = self.total
-        if total == 0:
-            return 0.0
-        target = q * total
-        cumulative = 0
-        for index, count in enumerate(self.counts):
-            cumulative += count
-            if cumulative >= target:
-                if index < len(LATENCY_BUCKET_EDGES):
-                    return LATENCY_BUCKET_EDGES[index]
-                return math.inf
-        return math.inf  # pragma: no cover - cumulative always reaches total
+        return _quantile(self.counts, q)
 
     def max_seconds(self) -> float:
         """Upper edge of the highest non-empty bucket (0.0 when empty)."""
-        for index in range(len(self.counts) - 1, -1, -1):
-            if self.counts[index]:
-                if index < len(LATENCY_BUCKET_EDGES):
-                    return LATENCY_BUCKET_EDGES[index]
-                return math.inf
-        return 0.0
+        return _max_edge(self.counts)
 
     def summary(self) -> dict[str, Any]:
         """The histogram as the ``summary``/snapshot payload entry.
 
         Quantiles are reported in milliseconds; an overflow-bucket
-        quantile renders as ``None`` (JSON has no infinity).
+        quantile renders as ``None`` (JSON has no infinity).  Every field
+        derives from one copy of the counts, so a summary taken while
+        service threads keep recording is self-consistent
+        (``count == sum(counts)``, ``p99_ms <= max_ms``).
         """
 
         def edge_ms(seconds: float) -> float | None:
@@ -190,32 +172,46 @@ class LatencyHistogram:
                 return None
             return round(seconds * 1000.0, 6)
 
+        counts = list(self.counts)
         return {
-            "count": self.total,
+            "count": sum(counts),
             "sum_seconds": round(self.sum_seconds, 9),
-            "counts": list(self.counts),
-            "p50_ms": edge_ms(self.quantile(0.5)),
-            "p95_ms": edge_ms(self.quantile(0.95)),
-            "p99_ms": edge_ms(self.quantile(0.99)),
-            "max_ms": edge_ms(self.max_seconds()),
+            "counts": counts,
+            "p50_ms": edge_ms(_quantile(counts, 0.5)),
+            "p95_ms": edge_ms(_quantile(counts, 0.95)),
+            "p99_ms": edge_ms(_quantile(counts, 0.99)),
+            "max_ms": edge_ms(_max_edge(counts)),
         }
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"LatencyHistogram(count={self.total})"
 
 
-def max_trace_spans(max_spans: int | None = None) -> int:
-    """Resolve the span ring-buffer capacity.
+def _upper_edge(index: int) -> float:
+    """Upper edge of bucket ``index``; the overflow slot is unbounded."""
+    if index < len(LATENCY_BUCKET_EDGES):
+        return LATENCY_BUCKET_EDGES[index]
+    return math.inf
 
-    Precedence: the ``max_spans`` argument, then ``REPRO_MAX_TRACE_SPANS``
-    in the environment, then :data:`DEFAULT_MAX_SPANS`.
-    """
-    if max_spans is not None:
-        return int(max_spans)
-    from_env = os.environ.get(MAX_SPANS_ENV)
-    if from_env is not None:
-        return int(from_env)
-    return DEFAULT_MAX_SPANS
+
+def _quantile(counts: list[int], q: float) -> float:
+    total = sum(counts)
+    if total == 0:
+        return 0.0
+    target = q * total
+    cumulative = 0
+    for index, count in enumerate(counts):
+        cumulative += count
+        if cumulative >= target:
+            return _upper_edge(index)
+    return math.inf  # pragma: no cover - cumulative always reaches total
+
+
+def _max_edge(counts: list[int]) -> float:
+    for index in range(len(counts) - 1, -1, -1):
+        if counts[index]:
+            return _upper_edge(index)
+    return 0.0
 
 
 @dataclass(frozen=True)
@@ -257,11 +253,17 @@ class SpanRecord:
         }
 
 
-class _TraceSpan:
-    """Context manager recording one :class:`SpanRecord` on exit."""
+class Span:
+    """Context manager timing one window of a :class:`Telemetry` registry.
+
+    Two ``perf_counter`` reads per span: the duration is always bucketed
+    into the ``name`` latency histogram and kept as :attr:`seconds`; when
+    the registry traces, the same duration also becomes one
+    :class:`SpanRecord` whose parent is the span open on this thread.
+    """
 
     __slots__ = ("_telemetry", "_name", "_category", "_args", "_span_id",
-                 "_parent_id", "_started")
+                 "_parent_id", "_started", "seconds")
 
     def __init__(
         self,
@@ -275,40 +277,56 @@ class _TraceSpan:
         self._category = category
         self._args = args
 
-    def __enter__(self) -> _TraceSpan:
+    def __enter__(self) -> Span:
         telemetry = self._telemetry
-        with telemetry._lock:
-            self._span_id = telemetry._next_span_id
-            telemetry._next_span_id += 1
-        # The open-span stack is thread-local: concurrent sessions (the
-        # policy service runs one thread per connection) each nest their
-        # own spans without seeing each other's parents.
-        stack = telemetry._span_stack
-        self._parent_id = stack[-1] if stack else None
-        stack.append(self._span_id)
+        if telemetry.trace_enabled:
+            with telemetry._lock:
+                self._span_id = telemetry._next_span_id
+                telemetry._next_span_id += 1
+            # The open-span stack is thread-local: concurrent sessions (the
+            # policy service runs one thread per connection) each nest their
+            # own spans without seeing each other's parents.
+            stack = telemetry._span_stack
+            self._parent_id = stack[-1] if stack else None
+            stack.append(self._span_id)
         self._started = time.perf_counter()  # codelint: ignore[R903]
         return self
 
     def __exit__(self, *exc_info: object) -> None:
-        ended = time.perf_counter()  # codelint: ignore[R903]
+        seconds = time.perf_counter() - self._started  # codelint: ignore[R903]
+        self.seconds = seconds
         telemetry = self._telemetry
-        telemetry._span_stack.pop()
-        telemetry._append_span(
-            SpanRecord(
-                span_id=self._span_id,
-                parent_id=self._parent_id,
-                name=self._name,
-                category=self._category,
-                t_start=self._started - telemetry._epoch,
-                seconds=ended - self._started,
-                args=tuple(sorted(self._args.items())),
+        telemetry.observe_latency(self._name, seconds)
+        if telemetry.trace_enabled:
+            telemetry._span_stack.pop()
+            telemetry._append_span(
+                SpanRecord(
+                    span_id=self._span_id,
+                    parent_id=self._parent_id,
+                    name=self._name,
+                    category=self._category,
+                    t_start=self._started - telemetry._epoch,
+                    seconds=seconds,
+                    args=tuple(sorted(self._args.items())),
+                )
             )
-        )
 
 
-#: Shared no-op context manager returned by :meth:`Telemetry.trace_span`
-#: when tracing is disabled (``nullcontext`` is reentrant and reusable).
-_NULL_SPAN = nullcontext()
+class _NullSpan:
+    """The no-op :func:`span` returns when telemetry is off (reusable)."""
+
+    __slots__ = ()
+    seconds = 0.0
+
+    def __enter__(self) -> _NullSpan:
+        return self
+
+    def __exit__(self, *exc_info: object) -> None:
+        return None
+
+
+#: Shared by every :func:`span` call made while telemetry is off.
+_NULL_SPAN = _NullSpan()
 
 
 @dataclass(frozen=True)
@@ -324,7 +342,6 @@ class TelemetrySnapshot:
     counters: dict[str, int] = field(default_factory=dict)
     process_counters: dict[str, int] = field(default_factory=dict)
     gauges: dict[str, float] = field(default_factory=dict)
-    timers: dict[str, tuple[float, int]] = field(default_factory=dict)
     #: name -> (bucket counts over LATENCY_BUCKET_EDGES + overflow, sum s).
     histograms: dict[str, tuple[tuple[int, ...], float]] = field(
         default_factory=dict
@@ -341,10 +358,11 @@ class Telemetry:
             per line.  ``None`` buffers events in memory instead (the mode
             campaign chunks use; :meth:`snapshot` carries the buffer back to
             the coordinating process).
-        trace: record hierarchical spans via :meth:`trace_span`.  Off by
-            default — when off, :meth:`trace_span` returns a shared no-op
-            context manager and records nothing.
-        max_spans: span ring-buffer capacity (see :func:`max_trace_spans`).
+        trace: also record every :meth:`span` as a hierarchical
+            :class:`SpanRecord`.  Off by default — spans then feed the
+            latency histograms only.
+        max_spans: span ring-buffer capacity (default
+            :data:`DEFAULT_MAX_SPANS`).
     """
 
     def __init__(
@@ -356,10 +374,9 @@ class Telemetry:
         self.counters: Counter[str] = Counter()
         self.process_counters: Counter[str] = Counter()
         self.gauges: dict[str, float] = {}
-        self.timers: dict[str, list[float]] = {}  # name -> [seconds, calls]
         self.histograms: dict[str, LatencyHistogram] = {}
         self.trace_enabled = bool(trace)
-        self.max_spans = max_trace_spans(max_spans)
+        self.max_spans = DEFAULT_MAX_SPANS if max_spans is None else int(max_spans)
         self.spans: deque[SpanRecord] = deque()
         self._sink = sink
         self._buffer: list[dict[str, Any]] = []
@@ -371,7 +388,7 @@ class Telemetry:
         # Span-id allocation, the span ring buffer, and event emission are
         # guarded so concurrent sessions (the policy service's threads) can
         # share one registry; the open-span stack is kept per thread.  The
-        # plain counter/gauge/timer paths stay lock-free — they are the
+        # plain counter/gauge/histogram paths stay lock-free — they are the
         # campaign hot path, single-threaded by construction, and a lost
         # increment under concurrent writers costs accuracy, not safety.
         self._lock = threading.RLock()
@@ -415,42 +432,21 @@ class Telemetry:
                 histogram = self.histograms.setdefault(name, LatencyHistogram())
         histogram.record(seconds)
 
-    @contextmanager
-    def span(self, name: str) -> Iterator[None]:
-        """Accumulate the wall-clock duration of the enclosed block.
-
-        Every span site doubles as a latency-histogram site: the same
-        duration that feeds the ``name`` timer is bucketed into the
-        ``name`` histogram, so any timed hot path gets its distribution
-        (p50/p95/p99) for free.
-        """
-        started = time.perf_counter()  # codelint: ignore[R903]
-        try:
-            yield
-        finally:
-            elapsed = time.perf_counter() - started  # codelint: ignore[R903]
-            stat = self.timers.setdefault(name, [0.0, 0])
-            stat[0] += elapsed
-            stat[1] += 1
-            self.observe_latency(name, elapsed)
-
     def elapsed(self) -> float:
         """Seconds since this registry was created (its trace epoch)."""
         return time.perf_counter() - self._epoch  # codelint: ignore[R903]
 
     # -- trace spans ----------------------------------------------------------
 
-    def trace_span(self, name: str, category: str = "repro", **args: Any):
-        """A context manager recording one hierarchical span.
+    def span(self, name: str, category: str = "repro", **args: Any) -> Span:
+        """A context manager timing one window into the ``name`` histogram.
 
-        The span's parent is whatever span is currently open on this
-        registry, so nesting ``with`` blocks produces the call tree.  With
-        tracing disabled this returns a shared no-op context manager — one
-        attribute test per call site.
+        With tracing on, the window is also recorded as a hierarchical
+        span whose parent is whatever span is open on this thread, so
+        nesting ``with`` blocks produces the call tree; ``category`` and
+        ``args`` label it.
         """
-        if not self.trace_enabled:
-            return _NULL_SPAN
-        return _TraceSpan(self, name, category, args)
+        return Span(self, name, category, args)
 
     def _append_span(self, record: SpanRecord) -> None:
         with self._lock:
@@ -485,7 +481,6 @@ class Telemetry:
             counters=dict(self.counters),
             process_counters=dict(self.process_counters),
             gauges=dict(self.gauges),
-            timers={name: (stat[0], stat[1]) for name, stat in self.timers.items()},
             histograms={
                 name: (tuple(histogram.counts), histogram.sum_seconds)
                 for name, histogram in self.histograms.items()
@@ -499,10 +494,10 @@ class Telemetry:
     ) -> None:
         """Fold a chunk snapshot into this registry.
 
-        Counters add, gauges keep the maximum, timers accumulate, and the
-        snapshot's buffered events are re-emitted here (tagged with the
-        ``chunk`` index when given) so they reach this telemetry's sink in
-        the order the caller absorbs chunks — which the campaign engine
+        Counters add, gauges keep the maximum, histograms add bucket-wise,
+        and the snapshot's buffered events are re-emitted here (tagged with
+        the ``chunk`` index when given) so they reach this telemetry's sink
+        in the order the caller absorbs chunks — which the campaign engine
         guarantees is chunk order, independent of the worker count.
 
         Trace spans are merged the same way: each chunk's spans keep their
@@ -519,10 +514,6 @@ class Telemetry:
         self.process_counters.update(snapshot.process_counters)
         for name, value in snapshot.gauges.items():
             self.gauges[name] = max(self.gauges.get(name, value), value)
-        for name, (seconds, calls) in snapshot.timers.items():
-            stat = self.timers.setdefault(name, [0.0, 0])
-            stat[0] += seconds
-            stat[1] += calls
         # Histograms merge by element-wise bucket addition — commutative
         # and associative, so the aggregate is identical whatever the
         # chunking (asserted worker-count invariant in tests, the same
@@ -587,10 +578,6 @@ class Telemetry:
             "counters": dict(sorted(self.counters.items())),
             "process_counters": dict(sorted(self.process_counters.items())),
             "gauges": dict(sorted(self.gauges.items())),
-            "timers": {
-                name: {"seconds": round(stat[0], 6), "calls": stat[1]}
-                for name, stat in sorted(self.timers.items())
-            },
             "histograms": {
                 name: histogram.summary()
                 for name, histogram in sorted(self.histograms.items())
@@ -625,6 +612,21 @@ def enabled() -> bool:
     return _ACTIVE is not None
 
 
+def span(
+    name: str, category: str = "repro", **args: Any
+) -> Span | _NullSpan:
+    """The active registry's :meth:`Telemetry.span`, or a shared no-op.
+
+    The one call every timed site makes: with telemetry off it costs a
+    global read and returns :data:`_NULL_SPAN`, so call sites never fork
+    their body on whether telemetry is active.
+    """
+    telemetry = _ACTIVE
+    if telemetry is None:
+        return _NULL_SPAN
+    return Span(telemetry, name, category, args)
+
+
 @contextmanager
 def activated(telemetry: Telemetry | None) -> Iterator[Telemetry | None]:
     """Temporarily swap the process-active telemetry (``None`` disables).
@@ -645,9 +647,7 @@ def activated(telemetry: Telemetry | None) -> Iterator[Telemetry | None]:
 
 @contextmanager
 def session(
-    path: str | Path | None = None,
-    trace: bool = False,
-    max_spans: int | None = None,
+    path: str | Path | None = None, trace: bool = False
 ) -> Iterator[Telemetry]:
     """Activate telemetry for a ``with`` block, optionally writing JSONL.
 
@@ -658,7 +658,7 @@ def session(
     via :meth:`Telemetry.snapshot`.
 
     With ``trace=True``, hierarchical spans are recorded (ring-buffered at
-    ``max_spans``) and serialised as ``span`` events just before the
+    :data:`DEFAULT_MAX_SPANS`) and serialised as ``span`` events just before the
     summary, so the JSONL stream is self-contained for the exporters of
     :mod:`repro.obs.trace`; the spans also stay available on the yielded
     registry's :attr:`Telemetry.spans` for in-process export.
@@ -666,7 +666,7 @@ def session(
     sink: IO[str] | None = None
     if path is not None:
         sink = open(path, "w", encoding="utf-8")
-    telemetry = Telemetry(sink=sink, trace=trace, max_spans=max_spans)
+    telemetry = Telemetry(sink=sink, trace=trace)
     telemetry.event("session_start", schema=SCHEMA_VERSION)
     try:
         with activated(telemetry):

@@ -1,7 +1,7 @@
 """Exporters for hierarchical trace spans.
 
-Spans are recorded by :meth:`repro.obs.telemetry.Telemetry.trace_span`
-(``trace=True`` registries) and serialised into the JSONL stream as
+Spans are recorded by :func:`repro.obs.telemetry.span` sites on
+``trace=True`` registries and serialised into the JSONL stream as
 ``span`` events just before the ``summary``.  This module turns them into
 formats external tools read:
 

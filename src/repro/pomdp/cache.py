@@ -35,6 +35,7 @@ import weakref
 import numpy as np
 import scipy.sparse as sp
 
+from repro.obs.telemetry import span
 from repro.obs.telemetry import active as telemetry_active
 from repro.pomdp.model import POMDP
 
@@ -261,15 +262,10 @@ def get_joint_cache(
     # Cache outcomes are *process-local* telemetry: a build happens once per
     # process per model, so hit/build/decline splits legitimately vary with
     # the campaign worker count (unlike the deterministic counters).
-    telemetry = telemetry_active()
-    if telemetry is None:
-        return _lookup_joint_cache(pomdp, max_bytes, None)
-    with telemetry.trace_span("cache.lookup", category="cache"):
-        # The timer span doubles as the cache.lookup latency histogram,
-        # so hit-path cost vs. first-build cost shows up as distribution
-        # tails rather than a single averaged total.
-        with telemetry.span("cache.lookup"):
-            return _lookup_joint_cache(pomdp, max_bytes, telemetry)
+    # The cache.lookup histogram shows hit-path cost vs. first-build cost
+    # as distribution tails rather than a single averaged total.
+    with span("cache.lookup", category="cache"):
+        return _lookup_joint_cache(pomdp, max_bytes, telemetry_active())
 
 
 def _lookup_joint_cache(

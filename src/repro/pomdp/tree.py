@@ -25,7 +25,6 @@ expansion — so there are exactly two expansion routines:
 
 from __future__ import annotations
 
-from contextlib import nullcontext
 from dataclasses import dataclass
 from typing import Protocol
 
@@ -38,6 +37,7 @@ from repro.linalg.ops import (
     rewards_matvec,
     tie_break_argmax,
 )
+from repro.obs.telemetry import span
 from repro.obs.telemetry import active as telemetry_active
 from repro.pomdp.belief import GAMMA_EPSILON
 from repro.pomdp.cache import (
@@ -144,11 +144,7 @@ def _batched_leaf_values(
     telemetry = telemetry_active()
     if telemetry is not None:
         telemetry.count("tree.leaf_batches")
-        with telemetry.trace_span(
-            "tree.leaf_batch", category="tree", beliefs=int(beliefs.shape[0])
-        ):
-            values = leaf.value_batch(beliefs)
-    else:
+    with span("tree.leaf_batch", category="tree", beliefs=beliefs.shape[0]):
         values = leaf.value_batch(beliefs)
     futures: list[np.ndarray | None] = []
     offset = 0
@@ -209,18 +205,13 @@ def expand_tree(
         and getattr(leaf, "vectors", None) is not None
     )
     counts = {"nodes": 0, "leaves": 0}
+    # Mode-tagged so dense and sparse traces of the same campaign are
+    # directly comparable (the fused path replaces the generic one).
+    mode = "fused_sparse" if fused else "generic"
     telemetry = telemetry_active()
     if telemetry is not None:
-        # Mode-tagged so dense and sparse traces of the same campaign are
-        # directly comparable (the fused path replaces the generic one).
-        mode = "fused_sparse" if fused else "generic"
         telemetry.count(f"tree.expansions.{mode}")
-        span = telemetry.trace_span(
-            "tree.expand", category="tree", depth=depth, mode=mode
-        )
-    else:
-        span = nullcontext()
-    with span:
+    with span("tree.expand", category="tree", depth=depth, mode=mode):
         if fused:
             action_values = _expand_depth1_sparse(
                 pomdp, belief, leaf, allowed_actions, counts

@@ -89,7 +89,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--metrics-jsonl",
         default=None,
         metavar="PATH",
-        help="append periodic live-metrics snapshots (repro-obs/v3 "
+        help="append periodic live-metrics snapshots (repro-obs/v4 "
         "metrics_snapshot events) to this JSONL file",
     )
     parser.add_argument(

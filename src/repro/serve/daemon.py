@@ -17,7 +17,7 @@ process-wide, so the deep layers (controller decisions, bound refinement,
 solver calls, cache lookups) record into the same registry the ``metrics``
 op snapshots.  With ``metrics_path``/``metrics_interval`` configured, a
 flusher thread appends one ``metrics_snapshot`` JSONL event per interval
-(plus a final one at teardown) — a truncated-but-valid ``repro-obs/v3``
+(plus a final one at teardown) — a truncated-but-valid ``repro-obs/v4``
 stream whatever instant the process dies at.
 """
 

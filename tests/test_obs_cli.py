@@ -54,6 +54,18 @@ class TestReport:
         report = format_report(aggregate)
         assert "Telemetry report" in report
 
+    def test_report_renders_span_latency_table(self, tmp_path, capsys):
+        path = tmp_path / "run.jsonl"
+        with session(path) as telemetry:
+            for _ in range(3):
+                with telemetry.span("tree.expand"):
+                    pass
+        assert main(["report", str(path)]) == 0
+        out = capsys.readouterr().out
+        assert "Wall-clock span latencies" in out
+        (row,) = [line for line in out.splitlines() if "tree.expand" in line]
+        assert row.split("|")[1].strip() == "3"  # calls
+
     def test_report_shows_cache_hit_ratio(self, run_file, capsys):
         main(["report", str(run_file)])
         out = capsys.readouterr().out
@@ -89,7 +101,7 @@ class TestValidate:
         lines = [
             {"event": "session_start", "seq": 0, "schema": "repro-obs/v99"},
             {"event": "summary", "seq": 1, "counters": {},
-             "process_counters": {}, "gauges": {}, "timers": {}},
+             "process_counters": {}, "gauges": {}},
             {"event": "session_end", "seq": 2},
         ]
         path.write_text("\n".join(json.dumps(line) for line in lines) + "\n")
@@ -102,6 +114,24 @@ class TestValidate:
             {"event": "session_start", "seq": 0, "schema": "repro-obs/v1"},
             {"event": "summary", "seq": 1, "counters": {},
              "process_counters": {}, "gauges": {}, "timers": {}},
+            {"event": "session_end", "seq": 2},
+        ]
+        path.write_text("\n".join(json.dumps(line) for line in lines) + "\n")
+        assert main(["validate", str(path)]) == 0
+
+    @pytest.mark.parametrize(
+        "schema, summary",
+        [
+            ("repro-obs/v4", {"histograms": {}}),
+            ("repro-obs/v3", {"timers": {}, "histograms": {}}),
+        ],
+    )
+    def test_summary_timers_optional_from_v4(self, tmp_path, schema, summary):
+        path = tmp_path / "run.jsonl"
+        lines = [
+            {"event": "session_start", "seq": 0, "schema": schema},
+            {"event": "summary", "seq": 1, "counters": {},
+             "process_counters": {}, "gauges": {}, **summary},
             {"event": "session_end", "seq": 2},
         ]
         path.write_text("\n".join(json.dumps(line) for line in lines) + "\n")
@@ -171,7 +201,7 @@ class TestReportSessionFilter:
             {"event": "slow_decision", "seq": 5, "session": "beta",
              "seconds": 0.5, "threshold": 0.1},
             {"event": "summary", "seq": 6, "counters": {}, "gauges": {},
-             "process_counters": {}, "timers": {}},
+             "process_counters": {}},
             {"event": "session_end", "seq": 7},
         ]
         path.write_text(

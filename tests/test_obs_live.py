@@ -186,7 +186,13 @@ class TestCampaignHistograms:
         _, serial = self._campaign(simple_system, parallel=None)
         _, sharded = self._campaign(simple_system, parallel=4)
         assert serial.histograms.keys() == sharded.histograms.keys()
-        assert "session.decide" in serial.histograms
+        assert {
+            "session.decide",
+            "episode",
+            "campaign",
+            "tree.expand",
+            "tree.leaf_batch",
+        } <= serial.histograms.keys()
         for name in serial.histograms:
             # Totals (observation counts) are deterministic; the bucket
             # *placement* of each observation is wall-clock and is not.
@@ -197,6 +203,12 @@ class TestCampaignHistograms:
             serial.histograms["session.decide"].total
             == serial.counters["controller.decisions"]
         )
+        assert (
+            serial.histograms["tree.expand"].total
+            == serial.counters["controller.decisions"]
+        )
+        assert serial.histograms["episode"].total == self.INJECTIONS
+        assert serial.histograms["campaign"].total == 1
 
     def test_fingerprint_identical_with_telemetry_on_and_off(
         self, simple_system
@@ -226,11 +238,13 @@ class TestLiveSnapshot:
         assert snap["counters"]["controller.decisions"] == 5
         assert snap["process_counters"]["cache.hits"] == 2
         assert snap["gauges"]["bounds.set_size"] == 17.0
-        assert snap["timers"]["solver.solve"]["calls"] == 1
+        assert "timers" not in snap
+        assert snap["histograms"]["solver.solve"]["count"] == 1
         assert snap["histograms"]["serve.session_decide"]["count"] == 1
         json.dumps(snap)  # JSON-ready throughout
 
     def test_snapshot_while_writers_race(self):
+        import sys
         import threading
 
         telemetry = Telemetry()
@@ -244,16 +258,25 @@ class TestLiveSnapshot:
                 i += 1
 
         threads = [threading.Thread(target=writer) for _ in range(4)]
-        for thread in threads:
-            thread.start()
+        # A tiny switch interval makes writers preempt the snapshot
+        # mid-summary, where a histogram read field by field would report
+        # a count that disagrees with its own buckets.
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
         try:
+            for thread in threads:
+                thread.start()
             for _ in range(50):
                 snap = snapshot(telemetry)
                 assert isinstance(snap["counters"], dict)
+                for name, entry in snap["histograms"].items():
+                    assert entry["count"] == sum(entry["counts"]), name
+                    assert entry["p99_ms"] <= entry["max_ms"], name
         finally:
             stop.set()
             for thread in threads:
                 thread.join()
+            sys.setswitchinterval(interval)
 
     def test_snapshot_event_is_schema_valid(self, tmp_path):
         telemetry = self._loaded()
@@ -297,7 +320,9 @@ class TestPrometheusExposition:
         assert "# TYPE repro_controller_decisions_total counter" in text
         assert "repro_controller_decisions_total 3" in text
         assert "repro_serve_live_sessions 2" in text
-        assert "repro_bounds_refine_seconds_total" in text
+        assert "repro_bounds_refine_latency_seconds_sum" in text
+        assert "_seconds_total" not in text
+        assert "_calls_total" not in text
         assert (
             "# TYPE repro_serve_session_decide_latency_seconds histogram"
             in text

@@ -7,12 +7,14 @@ import json
 import numpy as np
 import pytest
 
+import repro.obs.telemetry as telemetry_module
 from repro.controllers.bounded import BoundedController
 from repro.obs import session
 from repro.obs.telemetry import (
     SPANS_DROPPED_COUNTER,
     SpanRecord,
     Telemetry,
+    activated,
 )
 from repro.obs.trace import (
     read_spans,
@@ -27,8 +29,8 @@ from repro.sim.campaign import run_campaign
 class TestSpanRecording:
     def test_nesting_produces_parent_ids(self):
         telemetry = Telemetry(trace=True)
-        with telemetry.trace_span("outer"):
-            with telemetry.trace_span("inner"):
+        with telemetry.span("outer"):
+            with telemetry.span("inner"):
                 pass
         spans = {span.name: span for span in telemetry.spans}
         assert spans["outer"].parent_id is None
@@ -36,32 +38,32 @@ class TestSpanRecording:
 
     def test_children_close_before_parents(self):
         telemetry = Telemetry(trace=True)
-        with telemetry.trace_span("outer"):
-            with telemetry.trace_span("inner"):
+        with telemetry.span("outer"):
+            with telemetry.span("inner"):
                 pass
         assert [span.name for span in telemetry.spans] == ["inner", "outer"]
 
     def test_siblings_share_parent(self):
         telemetry = Telemetry(trace=True)
-        with telemetry.trace_span("root"):
-            with telemetry.trace_span("a"):
+        with telemetry.span("root"):
+            with telemetry.span("a"):
                 pass
-            with telemetry.trace_span("b"):
+            with telemetry.span("b"):
                 pass
         spans = {span.name: span for span in telemetry.spans}
         assert spans["a"].parent_id == spans["b"].parent_id == spans["root"].span_id
 
     def test_args_are_recorded_sorted(self):
         telemetry = Telemetry(trace=True)
-        with telemetry.trace_span("s", zeta=1, alpha=2):
+        with telemetry.span("s", zeta=1, alpha=2):
             pass
         (span,) = telemetry.spans
         assert span.args == (("alpha", 2), ("zeta", 1))
 
     def test_durations_nest(self):
         telemetry = Telemetry(trace=True)
-        with telemetry.trace_span("outer"):
-            with telemetry.trace_span("inner"):
+        with telemetry.span("outer"):
+            with telemetry.span("inner"):
                 pass
         spans = {span.name: span for span in telemetry.spans}
         assert spans["inner"].seconds <= spans["outer"].seconds
@@ -69,34 +71,55 @@ class TestSpanRecording:
 
     def test_disabled_tracing_records_nothing(self):
         telemetry = Telemetry()  # trace off
-        with telemetry.trace_span("outer"):
+        with telemetry.span("outer"):
             pass
         assert len(telemetry.spans) == 0
 
-    def test_disabled_trace_span_is_shared_noop(self):
+    def test_disabled_span_is_shared_noop(self):
+        span = telemetry_module.span
+        assert span("a") is span("b", category="tree", k=1)
+
+
+class TestOneSpanContract:
+    """One span: one histogram observation, plus one record when tracing."""
+
+    def test_untraced_span_adds_one_observation_and_no_record(self):
         telemetry = Telemetry()
-        assert telemetry.trace_span("a") is telemetry.trace_span("b")
+        with activated(telemetry):
+            with telemetry_module.span("tree.expand", category="tree", depth=1):
+                pass
+        assert telemetry.histograms["tree.expand"].total == 1
+        assert len(telemetry.spans) == 0
+
+    def test_traced_span_adds_one_of_each_from_the_same_reads(self):
+        telemetry = Telemetry(trace=True)
+        with activated(telemetry):
+            with telemetry_module.span(
+                "tree.expand", category="tree", depth=1
+            ) as timed:
+                pass
+        histogram = telemetry.histograms["tree.expand"]
+        (record,) = telemetry.spans
+        assert histogram.total == 1
+        assert record.seconds == histogram.sum_seconds == timed.seconds
+        assert (record.name, record.category) == ("tree.expand", "tree")
+        assert record.args == (("depth", 1),)
 
 
 class TestRingBuffer:
     def test_oldest_spans_dropped_at_capacity(self):
         telemetry = Telemetry(trace=True, max_spans=3)
         for index in range(5):
-            with telemetry.trace_span(f"s{index}"):
+            with telemetry.span(f"s{index}"):
                 pass
         assert [span.name for span in telemetry.spans] == ["s2", "s3", "s4"]
         assert telemetry.events_dropped == 2
         assert telemetry.counters[SPANS_DROPPED_COUNTER] == 2
 
-    def test_env_override(self, monkeypatch):
-        monkeypatch.setenv("REPRO_MAX_TRACE_SPANS", "2")
-        telemetry = Telemetry(trace=True)
-        assert telemetry.max_spans == 2
-
     def test_no_drops_below_capacity(self):
         telemetry = Telemetry(trace=True, max_spans=10)
         for _ in range(5):
-            with telemetry.trace_span("s"):
+            with telemetry.span("s"):
                 pass
         assert telemetry.events_dropped == 0
 
@@ -104,14 +127,14 @@ class TestRingBuffer:
 class TestAbsorbMerge:
     def _chunk(self, episode: int) -> Telemetry:
         chunk = Telemetry(trace=True)
-        with chunk.trace_span("episode", episode=episode):
-            with chunk.trace_span("decision"):
+        with chunk.span("episode", episode=episode):
+            with chunk.span("decision"):
                 pass
         return chunk
 
     def test_chunk_roots_reparent_under_open_span(self):
         aggregate = Telemetry(trace=True)
-        with aggregate.trace_span("campaign"):
+        with aggregate.span("campaign"):
             aggregate.absorb(self._chunk(0).snapshot(), chunk=0)
         spans = {span.name: span for span in aggregate.spans}
         assert spans["episode"].parent_id == spans["campaign"].span_id
@@ -119,7 +142,7 @@ class TestAbsorbMerge:
 
     def test_span_ids_stay_unique_across_chunks(self):
         aggregate = Telemetry(trace=True)
-        with aggregate.trace_span("campaign"):
+        with aggregate.span("campaign"):
             for index in range(3):
                 aggregate.absorb(self._chunk(index).snapshot(), chunk=index)
         ids = [span.span_id for span in aggregate.spans]
@@ -127,7 +150,7 @@ class TestAbsorbMerge:
 
     def test_timestamps_rebase_end_to_end(self):
         aggregate = Telemetry(trace=True)
-        with aggregate.trace_span("campaign"):
+        with aggregate.span("campaign"):
             for index in range(2):
                 aggregate.absorb(self._chunk(index).snapshot(), chunk=index)
         episodes = sorted(
@@ -148,10 +171,10 @@ class TestAbsorbMerge:
 class TestSpanTree:
     def test_canonical_structure(self):
         telemetry = Telemetry(trace=True)
-        with telemetry.trace_span("root"):
-            with telemetry.trace_span("a", k=1):
+        with telemetry.span("root"):
+            with telemetry.span("a", k=1):
                 pass
-            with telemetry.trace_span("b"):
+            with telemetry.span("b"):
                 pass
         (root,) = span_tree(list(telemetry.spans))
         assert root["name"] == "root"
@@ -168,8 +191,8 @@ class TestSpanTree:
 class TestExporters:
     def _spans(self):
         telemetry = Telemetry(trace=True)
-        with telemetry.trace_span("root", phase="x"):
-            with telemetry.trace_span("leaf"):
+        with telemetry.span("root", phase="x"):
+            with telemetry.span("leaf"):
                 pass
         return list(telemetry.spans)
 
@@ -215,7 +238,7 @@ class TestSessionIntegration:
     def test_session_emits_span_events(self, tmp_path):
         path = tmp_path / "run.jsonl"
         with session(path, trace=True) as telemetry:
-            with telemetry.trace_span("outer"):
+            with telemetry.span("outer"):
                 pass
         kinds = [
             json.loads(line)["event"] for line in path.read_text().splitlines()
@@ -227,8 +250,8 @@ class TestSessionIntegration:
     def test_read_spans_round_trip(self, tmp_path):
         path = tmp_path / "run.jsonl"
         with session(path, trace=True) as telemetry:
-            with telemetry.trace_span("outer", k=3):
-                with telemetry.trace_span("inner"):
+            with telemetry.span("outer", k=3):
+                with telemetry.span("inner"):
                     pass
         recovered = read_spans(path)
         assert span_tree(recovered) == span_tree(list(telemetry.spans))
@@ -236,7 +259,7 @@ class TestSessionIntegration:
     def test_untraced_session_emits_no_span_events(self, tmp_path):
         path = tmp_path / "run.jsonl"
         with session(path) as telemetry:
-            with telemetry.trace_span("outer"):
+            with telemetry.span("outer"):
                 pass
             telemetry.count("x")
         kinds = [
@@ -293,7 +316,7 @@ class TestCampaignTraceDeterminism:
             for episode in episodes
             for child in episode["children"]
         }
-        assert decision_names == {"controller.decision"}
+        assert decision_names == {"controller.decision", "belief.update"}
         inner = {
             grandchild["name"]
             for episode in episodes
@@ -323,10 +346,10 @@ class TestSpanTreeBySession:
         telemetry = Telemetry(trace=True)
         for turn in range(2):
             for label in ("s0", "s1"):
-                with telemetry.trace_span(
+                with telemetry.span(
                     "controller.decision", session=label, turn=turn
                 ):
-                    with telemetry.trace_span("controller.expand_tree"):
+                    with telemetry.span("tree.expand"):
                         pass
         return telemetry
 
@@ -346,14 +369,14 @@ class TestSpanTreeBySession:
         for forest in forests.values():
             for node in forest:
                 assert [child["name"] for child in node["children"]] == [
-                    "controller.expand_tree"
+                    "tree.expand"
                 ]
 
     def test_unlabelled_spans_group_under_none(self):
         telemetry = Telemetry(trace=True)
-        with telemetry.trace_span("warmup"):
+        with telemetry.span("warmup"):
             pass
-        with telemetry.trace_span("controller.decision", session="s0"):
+        with telemetry.span("controller.decision", session="s0"):
             pass
         forests = span_tree(list(telemetry.spans), by_session=True)
         assert [node["name"] for node in forests[None]] == ["warmup"]
@@ -361,8 +384,8 @@ class TestSpanTreeBySession:
 
     def test_cross_session_child_roots_its_own_forest(self):
         telemetry = Telemetry(trace=True)
-        with telemetry.trace_span("controller.decision", session="s0"):
-            with telemetry.trace_span("controller.decision", session="s1"):
+        with telemetry.span("controller.decision", session="s0"):
+            with telemetry.span("controller.decision", session="s1"):
                 pass
         forests = span_tree(list(telemetry.spans), by_session=True)
         assert forests["s0"][0]["children"] == []

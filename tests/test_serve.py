@@ -552,7 +552,7 @@ class TestDaemonLiveOps:
         with open(path, encoding="utf-8") as stream:
             records = [json.loads(line) for line in stream if line.strip()]
         assert records[0]["event"] == "session_start"
-        assert records[0]["schema"] == "repro-obs/v3"
+        assert records[0]["schema"] == "repro-obs/v4"
         snapshots = [r for r in records if r["event"] == "metrics_snapshot"]
         assert len(snapshots) >= 2  # interval ticks plus the final flush
         last = snapshots[-1]
